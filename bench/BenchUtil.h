@@ -149,6 +149,33 @@ inline ScaleConfig benchScales() {
   return ScaleConfig::fromExponents(25, 25, 25, 12);
 }
 
+/// Scales for the small serving/session/memory circuits: 2^30 images,
+/// weights and scalars with 2^16 masks. At benchScales those circuits'
+/// decrypted outputs are wrong by their full magnitude at 128-bit
+/// security; here they agree with the plain reference.
+inline ScaleConfig servingScales() {
+  return ScaleConfig::fromExponents(30, 30, 30, 16);
+}
+
+/// Exits with status 1 unless a decrypted inference output agrees with
+/// the plain reference for \p Image: same argmax and every value within
+/// \p Tolerance. Byte-identity gates alone cannot notice an encrypted
+/// pipeline that is deterministically wrong.
+inline void requirePlainAgreement(const char *Bench,
+                                  const TensorCircuit &Circ,
+                                  const Tensor3 &Image, const Tensor3 &Got,
+                                  double Tolerance = 5e-3) {
+  Tensor3 Want = Circ.evaluatePlain(Image);
+  double Err = maxAbsDiff(Got, Want);
+  if (argmax(Got) == argmax(Want) && Err <= Tolerance)
+    return;
+  std::fprintf(stderr,
+               "%s: output check FAILED: argmax %d vs plain %d, max error "
+               "%.3g (tolerance %.3g)\n",
+               Bench, argmax(Got), argmax(Want), Err, Tolerance);
+  std::exit(1);
+}
+
 struct RunResult {
   double CompileSec = 0;
   double KeygenSec = 0;

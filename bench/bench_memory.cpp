@@ -17,8 +17,10 @@
 ///          unconstrained (budget 0; the governor's ledger still
 ///          records the reservation peak), then again under a budget of
 ///          60% of that peak. Every admitted request must complete
-///          byte-identically to a fault-free reference, with zero
-///          failures and the governor's high-water within the budget.
+///          byte-identically to a fault-free reference -- whose decrypted
+///          outputs match the plain reference (argmax and 5e-3 absolute)
+///          at the 2^30/2^16 serving scales -- with zero failures and the
+///          governor's high-water within the budget.
 ///
 ///  2. Without --check-only: per-network footprint hotspot reports and
 ///     a degradation sweep across budget fractions.
@@ -170,7 +172,7 @@ struct SoakFixture {
     CompilerOptions O;
     O.Scheme = SchemeKind::RnsCkks;
     O.Security = SecurityLevel::Classical128;
-    O.Scales = benchScales();
+    O.Scales = servingScales();
     F.C = compileCircuit(F.Circ, O);
     if (!F.C.Footprint.Analyzed)
       failGate("soak", "tiny circuit has no footprint summary");
@@ -197,6 +199,8 @@ struct SoakFixture {
         auto Enc = encryptTensor(Integ, Image, L, F.C.Scales);
         auto Res =
             evaluateCircuit(Integ, F.Circ, Enc, F.C.Scales, F.C.Policy);
+        requirePlainAgreement("bench_memory", F.Circ, Image,
+                              decryptTensor(Integ, Res));
         std::vector<ByteBuffer> Bytes;
         for (const auto &Ct : Res.Cts)
           Bytes.push_back(serialize(Ct));

@@ -15,7 +15,9 @@
 ///          key set (its rotation keys were dropped after compilation) --
 ///          share one server at 1/2/8 worker lanes. Every *completed*
 ///          response must be byte-identical to a fault-free single-session
-///          run, per-tenant counters must be lane-count-invariant, the
+///          run (whose decrypted outputs must match the plain reference
+///          on argmax and within 5e-3 at the 2^30/2^16 serving scales),
+///          per-tenant counters must be lane-count-invariant, the
 ///          broken tenant must trip its circuit breaker and never
 ///          complete, and no request may end without a typed outcome.
 ///       b. Throughput isolation: three healthy tenants are timed alone,
@@ -78,7 +80,7 @@ CompiledCircuit compileTiny(const TensorCircuit &Circ) {
   CompilerOptions O;
   O.Scheme = SchemeKind::RnsCkks;
   O.Security = SecurityLevel::Classical128;
-  O.Scales = benchScales();
+  O.Scales = servingScales();
   return compileCircuit(Circ, O);
 }
 
@@ -136,6 +138,8 @@ referenceBytes(const TensorCircuit &Circ, const CompiledCircuit &C,
   for (const Tensor3 &Image : T.Images) {
     auto Enc = encryptTensor(Integ, Image, L, C.Scales);
     auto Res = evaluateCircuit(Integ, Circ, Enc, C.Scales, C.Policy);
+    requirePlainAgreement("bench_server_load", Circ, Image,
+                          decryptTensor(Integ, Res));
     std::vector<ByteBuffer> Bytes;
     for (const auto &Ct : Res.Cts)
       Bytes.push_back(serialize(Ct));

@@ -11,6 +11,7 @@
 #include "support/LimbPool.h"
 #include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -46,12 +47,20 @@ uint64_t RnsCkksParams::candidateSpecial(int Bits) {
   return generateNttPrimes(Bits, /*LogN=*/16, 1)[0];
 }
 
+std::vector<uint64_t>
+RnsCkksParams::candidateSpecials(int Count, int Bits,
+                                 const std::vector<uint64_t> &Chain) {
+  if (Count <= 0)
+    return {};
+  return generateNttPrimes(Bits, /*LogN=*/16, Count, Chain);
+}
+
 RnsCkksParams RnsCkksParams::create(int LogN, int Levels, int FirstBits,
                                     int ScaleBits, SecurityLevel Security) {
   RnsCkksParams P;
   P.LogN = LogN;
   P.ChainPrimes = candidateChain(Levels + 1, FirstBits, ScaleBits);
-  P.SpecialPrime = candidateSpecial(FirstBits);
+  P.SpecialPrimes = {candidateSpecial(FirstBits)};
   P.Security = Security;
   return P;
 }
@@ -63,57 +72,214 @@ double RnsCkksParams::logQ() const {
   return Bits;
 }
 
-double RnsCkksParams::logQP() const {
-  return logQ() + std::log2(static_cast<double>(SpecialPrime));
+double RnsCkksParams::logP() const {
+  double Bits = 0;
+  for (uint64_t P : SpecialPrimes)
+    Bits += std::log2(static_cast<double>(P));
+  return Bits;
+}
+
+KeySwitchLayout RnsCkksParams::keySwitchLayout() const {
+  KeySwitchLayout L;
+  L.SpecialPrimes = SpecialPrimes.size();
+  L.DigitBounds = DigitBounds;
+  if (L.DigitBounds.empty())
+    for (size_t I = 0; I <= ChainPrimes.size(); ++I)
+      L.DigitBounds.push_back(static_cast<uint32_t>(I));
+  return L;
+}
+
+std::string RnsCkksParams::keySwitchLayoutError() const {
+  if (SpecialPrimes.empty())
+    return "the special modulus has no prime";
+  for (size_t I = 0; I < SpecialPrimes.size(); ++I) {
+    uint64_t P = SpecialPrimes[I];
+    if (P < 3)
+      return formatError("special prime ", P, " is not an odd prime");
+    if (std::find(ChainPrimes.begin(), ChainPrimes.end(), P) !=
+        ChainPrimes.end())
+      return formatError("special prime ", P, " is also a chain prime");
+    if (std::find(SpecialPrimes.begin(), SpecialPrimes.begin() + I, P) !=
+        SpecialPrimes.begin() + I)
+      return formatError("special prime ", P, " is repeated");
+  }
+  if (DigitBounds.empty())
+    return "";
+  if (DigitBounds.size() < 2 || DigitBounds.front() != 0 ||
+      DigitBounds.back() != ChainPrimes.size())
+    return formatError("the ", DigitBounds.size(),
+                       " digit bounds do not cover the ", ChainPrimes.size(),
+                       "-prime chain from q_0");
+  for (size_t D = 0; D + 1 < DigitBounds.size(); ++D) {
+    if (DigitBounds[D + 1] < DigitBounds[D])
+      return formatError("digit bounds are out of order at digit ", D);
+    if (DigitBounds[D + 1] == DigitBounds[D])
+      return formatError("digit ", D, " is empty");
+  }
+  return "";
+}
+
+bool RnsCkksParams::selectKeySwitchLayout(double MaxLogQP, int SpecialBits) {
+  // Nominal widths: a B-bit prime lies in [2^(B-1), 2^B), so a digit of
+  // nominal width W is covered by W / SpecialBits special primes up to
+  // the few-ulp slack between same-width primes.
+  std::vector<int> Width;
+  int Total = 0, Widest = 0;
+  for (uint64_t Q : ChainPrimes) {
+    Width.push_back(64 - __builtin_clzll(Q));
+    Total += Width.back();
+    Widest = std::max(Widest, Width.back());
+  }
+  if (ChainPrimes.empty() || SpecialBits <= 0)
+    return false;
+  // k beyond the one that makes a single digit buys nothing.
+  int MaxK = (Total + SpecialBits - 1) / SpecialBits;
+  std::vector<uint64_t> Specials =
+      candidateSpecials(MaxK, SpecialBits, ChainPrimes);
+  const double LogQ = logQ();
+  double LogP = 0;
+  std::vector<uint32_t> Best;
+  int BestK = 0;
+  for (int K = 1; K <= MaxK; ++K) {
+    LogP += std::log2(static_cast<double>(Specials[K - 1]));
+    if (LogQ + LogP > MaxLogQP)
+      break;
+    int Capacity = K * SpecialBits;
+    if (Widest > Capacity)
+      continue;
+    std::vector<uint32_t> Bounds = {0};
+    int Fill = 0;
+    for (size_t I = 0; I < Width.size(); ++I) {
+      if (Fill + Width[I] > Capacity) {
+        Bounds.push_back(static_cast<uint32_t>(I));
+        Fill = 0;
+      }
+      Fill += Width[I];
+    }
+    Bounds.push_back(static_cast<uint32_t>(Width.size()));
+    // A larger P only pays off when it removes a digit.
+    if (BestK == 0 || Bounds.size() < Best.size()) {
+      Best = std::move(Bounds);
+      BestK = K;
+    }
+  }
+  if (BestK == 0)
+    return false;
+  SpecialPrimes.assign(Specials.begin(), Specials.begin() + BestK);
+  DigitBounds = std::move(Best);
+  return true;
 }
 
 //===----------------------------------------------------------------------===//
 // Construction and key generation
 //===----------------------------------------------------------------------===//
 
-RnsCkksBackend::RnsCkksBackend(const RnsCkksParams &ParamsIn)
+/// Product of \p Primes except the one at \p Skip, modulo \p Q.
+static uint64_t productExcept(const std::vector<uint64_t> &Primes,
+                              size_t Begin, size_t End, size_t Skip,
+                              const Modulus &Q) {
+  uint64_t V = 1 % Q.value();
+  for (size_t I = Begin; I < End; ++I)
+    if (I != Skip)
+      V = Q.mulMod(V, Q.reduce(Primes[I]));
+  return V;
+}
+
+RnsCkksBackend::RnsCkksBackend(const RnsCkksParams &ParamsIn,
+                               int RelinKeyLevel)
     : Params(ParamsIn), LogN(ParamsIn.LogN), Degree(size_t(1) << ParamsIn.LogN),
-      ChainLen(ParamsIn.ChainPrimes.size()), Encoder(ParamsIn.LogN),
+      ChainLen(ParamsIn.ChainPrimes.size()),
+      SpecialLen(ParamsIn.SpecialPrimes.size()), Encoder(ParamsIn.LogN),
       Rng(ParamsIn.Seed) {
   CHET_CHECK(ChainLen >= 1, InvalidArgument,
              "RNS-CKKS parameters need at least one chain prime");
-  CHET_CHECK(Params.SpecialPrime != 0, InvalidArgument,
-             "RNS-CKKS parameters are missing the special prime");
+  std::string LayoutError = Params.keySwitchLayoutError();
+  CHET_CHECK(LayoutError.empty(), InvalidArgument,
+             "RNS-CKKS key-switching layout is malformed: ", LayoutError);
   CHET_CHECK(Params.logQP() <= maxLogQForSecurity(LogN, Params.Security),
              SecurityBudgetExceeded,
              "parameters violate the requested security level: logQP = ",
              Params.logQP(), " bits exceeds the ", maxLogQForSecurity(
                  LogN, Params.Security),
              "-bit budget at LogN = ", LogN);
+  CHET_CHECK(RelinKeyLevel < static_cast<int>(ChainLen), InvalidArgument,
+             "relinearization key level ", RelinKeyLevel,
+             " exceeds the chain's top level ", ChainLen - 1);
 
   for (uint64_t Q : Params.ChainPrimes) {
     ChainMods.emplace_back(Q);
     ChainNtt.push_back(std::make_unique<NttTables>(LogN, ChainMods.back()));
   }
-  SpecialMod = Modulus(Params.SpecialPrime);
-  SpecialNtt = std::make_unique<NttTables>(LogN, SpecialMod);
+  for (uint64_t P : Params.SpecialPrimes) {
+    SpecialMods.emplace_back(P);
+    SpecialNtt.push_back(
+        std::make_unique<NttTables>(LogN, SpecialMods.back()));
+  }
+  DigitBounds = Params.keySwitchLayout().DigitBounds;
+  for (size_t D = 0; D + 1 < DigitBounds.size(); ++D)
+    for (size_t I = digitBegin(D); I < digitEnd(D); ++I)
+      DigitOf.push_back(static_cast<uint32_t>(D));
 
-  SpecialModChain.resize(ChainLen);
-  SpecialInvModChain.resize(ChainLen);
+  // ModUp constants for every slice a key switch can meet: at level l
+  // each digit below l's is whole and l's own digit is cut after q_l.
+  const size_t Moduli = ChainLen + SpecialLen;
+  std::vector<uint64_t> AllPrimes = Params.ChainPrimes;
+  AllPrimes.insert(AllPrimes.end(), Params.SpecialPrimes.begin(),
+                   Params.SpecialPrimes.end());
+  SliceByTop.resize(ChainLen);
+  parallelFor(0, ChainLen, 1, [&](size_t Top) {
+    ModUpSlice &S = SliceByTop[Top];
+    S.Begin = digitBegin(DigitOf[Top]);
+    S.End = Top + 1;
+    size_t Width = S.End - S.Begin;
+    S.HatInv.resize(Width);
+    S.HatInvShoup.resize(Width);
+    S.HatMod.resize(Width * Moduli);
+    for (size_t I = S.Begin; I < S.End; ++I) {
+      const Modulus &Q = ChainMods[I];
+      uint64_t Inv = invMod(
+          productExcept(Params.ChainPrimes, S.Begin, S.End, I, Q), Q);
+      S.HatInv[I - S.Begin] = Inv;
+      S.HatInvShoup[I - S.Begin] = shoupPrecompute(Inv, Q.value());
+      for (size_t M = 0; M < Moduli; ++M)
+        S.HatMod[(I - S.Begin) * Moduli + M] =
+            productExcept(Params.ChainPrimes, S.Begin, S.End, I, modAt(M));
+    }
+  });
+
+  // ModDown constants.
+  PHatInvModP.resize(SpecialLen);
+  PHatModChain.resize(SpecialLen * ChainLen);
+  for (size_t S = 0; S < SpecialLen; ++S) {
+    const Modulus &P = SpecialMods[S];
+    PHatInvModP[S] = invMod(
+        productExcept(Params.SpecialPrimes, 0, SpecialLen, S, P), P);
+    for (size_t J = 0; J < ChainLen; ++J)
+      PHatModChain[S * ChainLen + J] = productExcept(
+          Params.SpecialPrimes, 0, SpecialLen, S, ChainMods[J]);
+  }
+  PModChain.resize(ChainLen);
+  PInvModChain.resize(ChainLen);
   for (size_t J = 0; J < ChainLen; ++J) {
-    SpecialModChain[J] = ChainMods[J].reduce(Params.SpecialPrime);
-    SpecialInvModChain[J] = invMod(SpecialModChain[J], ChainMods[J]);
+    PModChain[J] = productExcept(Params.SpecialPrimes, 0, SpecialLen,
+                                 SpecialLen, ChainMods[J]);
+    PInvModChain[J] = invMod(PModChain[J], ChainMods[J]);
   }
   CrtByLevel.resize(ChainLen);
 
   // Secret key.
   SecretTernary = sampleTernaryCoeffs();
-  SecretNtt.resize(ChainLen + 1);
+  SecretNtt.resize(Moduli);
   {
     std::vector<int64_t> Wide(SecretTernary.begin(), SecretTernary.end());
-    parallelFor(0, ChainLen + 1, 1,
+    parallelFor(0, Moduli, 1,
                 [&](size_t J) { SecretNtt[J] = smallToNtt(Wide, J); });
   }
 
   // Public key (b, a) = (-(a s) + e, a) over the chain primes only;
-  // fresh ciphertexts never touch the special prime. All Rng draws happen
-  // sequentially (in the original order) before the parallel compute so
-  // the key material is identical at every thread count.
+  // fresh ciphertexts never touch the special primes. All Rng draws
+  // happen sequentially (in the original order) before the parallel
+  // compute so the key material is identical at every thread count.
   PkB.resize(ChainLen);
   PkA.resize(ChainLen);
   std::vector<int64_t> E = sampleErrorCoeffs();
@@ -128,15 +294,18 @@ RnsCkksBackend::RnsCkksBackend(const RnsCkksParams &ParamsIn)
           Q.addMod(Q.negMod(Q.mulMod(PkA[J][K], SecretNtt[J][K])), ENtt[K]);
   });
 
-  // Relinearization key: target s^2 over every modulus.
-  std::vector<std::vector<uint64_t>> SquareTarget(ChainLen + 1);
-  parallelFor(0, ChainLen + 1, 1, [&](size_t J) {
+  // Relinearization key: target s^2 over the moduli of its level.
+  int RelinLevel = RelinKeyLevel < 0 ? maxLevel() : RelinKeyLevel;
+  std::vector<std::vector<uint64_t>> SquareTarget(Moduli);
+  size_t RelinRows = size_t(RelinLevel) + 1 + SpecialLen;
+  parallelFor(0, RelinRows, 1, [&](size_t Row) {
+    size_t J = keyRowModulus(Row, RelinLevel);
     const Modulus &Q = modAt(J);
     SquareTarget[J].resize(Degree);
     for (size_t K = 0; K < Degree; ++K)
       SquareTarget[J][K] = Q.mulMod(SecretNtt[J][K], SecretNtt[J][K]);
   });
-  RelinKey = makeKSwitchKey(SquareTarget);
+  RelinKey = makeKSwitchKey(SquareTarget, RelinLevel);
 
   // Stock rotation keys for the power-of-two steps, left and right
   // (2 log N - 2 keys; Section 2.4): the default CHET's rotation-key
@@ -184,87 +353,116 @@ RnsCkksBackend::smallToNtt(const std::vector<int64_t> &Coeffs,
   return Out;
 }
 
-std::vector<uint64_t> RnsCkksBackend::uniformNtt(size_t J) {
+void RnsCkksBackend::uniformNttInto(size_t J, uint64_t *Out) {
   // Independent uniform residues per CRT component are exactly uniform
   // modulo the full product; sampling directly in NTT form is equivalent
   // because the NTT is a bijection.
-  const Modulus &Q = modAt(J);
+  const uint64_t Q = modAt(J).value();
+  for (size_t K = 0; K < Degree; ++K)
+    Out[K] = Rng.nextBounded(Q);
+}
+
+std::vector<uint64_t> RnsCkksBackend::uniformNtt(size_t J) {
   std::vector<uint64_t> Out(Degree);
-  for (auto &V : Out)
-    V = Rng.nextBounded(Q.value());
+  uniformNttInto(J, Out.data());
   return Out;
 }
 
 RnsCkksBackend::KSwitchKey RnsCkksBackend::makeKSwitchKey(
-    const std::vector<std::vector<uint64_t>> &Target) {
-  assert(Target.size() == ChainLen + 1 && "target must cover all moduli");
+    const std::vector<std::vector<uint64_t>> &Target, int Level) {
+  assert(Target.size() == ChainLen + SpecialLen &&
+         "target must be indexed by global modulus");
+  const size_t Digits = activeDigits(Level);
+  const size_t Rows = size_t(Level) + 1 + SpecialLen;
   KSwitchKey Key;
-  Key.B.resize(ChainLen);
-  Key.A.resize(ChainLen);
-  // Draw every random sample first, in the exact order the sequential
-  // code consumed them (per digit i: E_i, then A_{i,0..ChainLen}), so the
-  // generated key is identical at every thread count; the NTT/arithmetic
-  // work then fans out over (digit, modulus) pairs.
-  std::vector<std::vector<int64_t>> E(ChainLen);
-  std::vector<std::vector<std::vector<uint64_t>>> A(ChainLen);
-  for (size_t I = 0; I < ChainLen; ++I) {
-    Key.B[I].resize((ChainLen + 1) * Degree);
-    Key.A[I].resize((ChainLen + 1) * Degree);
-    E[I] = sampleErrorCoeffs();
-    A[I].resize(ChainLen + 1);
-    for (size_t J = 0; J <= ChainLen; ++J)
-      A[I][J] = uniformNtt(J);
+  Key.Level = Level;
+  Key.B.resize(Digits);
+  Key.A.resize(Digits);
+  // Draw every random sample first, in a fixed order (per digit d: E_d,
+  // then A_d row by row), so the generated key is identical at every
+  // thread count; the uniform rows land in the key directly. The
+  // NTT/arithmetic work then fans out over (digit, row) pairs.
+  std::vector<std::vector<int64_t>> E(Digits);
+  for (size_t D = 0; D < Digits; ++D) {
+    Key.B[D].resize(Rows * Degree);
+    Key.A[D].resize(Rows * Degree);
+    E[D] = sampleErrorCoeffs();
+    for (size_t R = 0; R < Rows; ++R)
+      uniformNttInto(keyRowModulus(R, Level), Key.A[D].data() + R * Degree);
   }
-  parallelFor(0, ChainLen * (ChainLen + 1), 1, [&](size_t Flat) {
-    size_t I = Flat / (ChainLen + 1);
-    size_t J = Flat % (ChainLen + 1);
+  parallelFor(0, Digits * Rows, 1, [&](size_t Flat) {
+    size_t D = Flat / Rows;
+    size_t R = Flat % Rows;
+    size_t J = keyRowModulus(R, Level);
     const Modulus &Q = modAt(J);
-    std::vector<uint64_t> ENtt = smallToNtt(E[I], J);
-    const std::vector<uint64_t> &AIJ = A[I][J];
-    uint64_t *BOut = Key.B[I].data() + J * Degree;
-    uint64_t *AOut = Key.A[I].data() + J * Degree;
+    LimbBuffer ENtt(Degree);
+    smallToNttInto(E[D].data(), J, ENtt.data());
+    const uint64_t *ADR = Key.A[D].data() + R * Degree;
+    uint64_t *BOut = Key.B[D].data() + R * Degree;
+    // P * T_d * target: T_d is 1 modulo the digit's own primes and 0
+    // modulo every other chain prime, and P vanishes modulo itself.
+    const bool InDigit = J < ChainLen && DigitOf[J] == D;
     for (size_t K = 0; K < Degree; ++K) {
-      uint64_t V = Q.addMod(
-          Q.negMod(Q.mulMod(AIJ[K], SecretNtt[J][K])), ENtt[K]);
-      if (J == I) {
-        // Add p * T_i * target; T_i is 1 mod q_i and 0 elsewhere, and
-        // p * T_i vanishes modulo the special prime itself.
-        V = Q.addMod(V, Q.mulMod(SpecialModChain[J], Target[J][K]));
-      }
+      uint64_t V =
+          Q.addMod(Q.negMod(Q.mulMod(ADR[K], SecretNtt[J][K])), ENtt[K]);
+      if (InDigit)
+        V = Q.addMod(V, Q.mulMod(PModChain[J], Target[J][K]));
       BOut[K] = V;
-      AOut[K] = AIJ[K];
     }
   });
   return Key;
 }
 
+RnsCkksBackend::KSwitchKey RnsCkksBackend::makeGaloisKey(uint64_t Elt,
+                                                         int Level) {
+  // Target sigma_elt(s) over the moduli of the key's level.
+  size_t TwoN = 2 * Degree;
+  std::vector<int64_t> Rotated(Degree);
+  for (size_t K = 0; K < Degree; ++K) {
+    size_t Index = (K * Elt) & (TwoN - 1);
+    int64_t V = SecretTernary[K];
+    if (Index >= Degree) {
+      Index -= Degree;
+      V = -V;
+    }
+    Rotated[Index] = V;
+  }
+  std::vector<std::vector<uint64_t>> Target(ChainLen + SpecialLen);
+  size_t Rows = size_t(Level) + 1 + SpecialLen;
+  parallelFor(0, Rows, 1, [&](size_t Row) {
+    size_t J = keyRowModulus(Row, Level);
+    Target[J] = smallToNtt(Rotated, J);
+  });
+  return makeKSwitchKey(Target, Level);
+}
+
 void RnsCkksBackend::generateRotationKeys(const std::vector<int> &Steps) {
+  generateRotationKeys(Steps, {});
+}
+
+void RnsCkksBackend::generateRotationKeys(const std::vector<int> &Steps,
+                                          const std::vector<int> &Levels) {
+  CHET_CHECK(Levels.empty() || Levels.size() == Steps.size(),
+             InvalidArgument, "got ", Levels.size(),
+             " rotation-key levels for ", Steps.size(), " steps");
   int Slots = static_cast<int>(slotCount());
-  for (int Step : Steps) {
+  for (size_t I = 0; I < Steps.size(); ++I) {
+    int Step = Steps[I];
     int Norm = ((Step % Slots) + Slots) % Slots;
     if (Norm == 0)
       continue;
+    int Level = Levels.empty() ? maxLevel() : Levels[I];
+    CHET_CHECK(Level >= 0 && Level <= maxLevel(), InvalidArgument,
+               "rotation key level ", Level, " for step ", Step,
+               " is outside the chain's levels 0..", maxLevel());
     RotationSteps.insert(Norm);
     uint64_t Elt = Encoder.galoisElement(Step);
-    if (GaloisKeys.count(Elt))
+    auto It = GaloisKeys.find(Elt);
+    if (It != GaloisKeys.end() && It->second.Level >= Level)
       continue;
-    // Target sigma_elt(s) over every modulus.
-    size_t TwoN = 2 * Degree;
-    std::vector<int64_t> Rotated(Degree);
-    for (size_t K = 0; K < Degree; ++K) {
-      size_t Index = (K * Elt) & (TwoN - 1);
-      int64_t V = SecretTernary[K];
-      if (Index >= Degree) {
-        Index -= Degree;
-        V = -V;
-      }
-      Rotated[Index] = V;
-    }
-    std::vector<std::vector<uint64_t>> Target(ChainLen + 1);
-    parallelFor(0, ChainLen + 1, 1,
-                [&](size_t J) { Target[J] = smallToNtt(Rotated, J); });
-    GaloisKeys.emplace(Elt, makeKSwitchKey(Target));
-    GaloisPerms.emplace(Elt, galoisNttPermutation(LogN, Elt));
+    GaloisKeys[Elt] = makeGaloisKey(Elt, Level);
+    if (!GaloisPerms.count(Elt))
+      GaloisPerms.emplace(Elt, galoisNttPermutation(LogN, Elt));
   }
 }
 
@@ -276,6 +474,31 @@ void RnsCkksBackend::clearRotationKeys() {
 
 bool RnsCkksBackend::hasRotationKey(int Steps) const {
   return GaloisKeys.count(Encoder.galoisElement(Steps)) != 0;
+}
+
+int RnsCkksBackend::rotationKeyLevel(int Steps) const {
+  auto It = GaloisKeys.find(Encoder.galoisElement(Steps));
+  return It == GaloisKeys.end() ? -1 : It->second.Level;
+}
+
+uint64_t RnsCkksBackend::keyBytes() const {
+  auto KeyWords = [](const KSwitchKey &K) {
+    uint64_t W = 0;
+    for (size_t D = 0; D < K.B.size(); ++D)
+      W += K.B[D].size() + K.A[D].size();
+    return W;
+  };
+  uint64_t Words = KeyWords(RelinKey);
+  for (const auto &S : SecretNtt)
+    Words += S.size();
+  for (size_t J = 0; J < PkB.size(); ++J)
+    Words += PkB[J].size() + PkA[J].size();
+  uint64_t Bytes = SecretTernary.size() * sizeof(int8_t);
+  for (const auto &[Elt, Key] : GaloisKeys)
+    Words += KeyWords(Key);
+  for (const auto &[Elt, Perm] : GaloisPerms)
+    Bytes += Perm.size() * sizeof(uint32_t);
+  return Bytes + Words * sizeof(uint64_t);
 }
 
 //===----------------------------------------------------------------------===//
@@ -570,64 +793,169 @@ static bool lazyInnerProduct(size_t Terms) {
   return Terms <= 32 && LimbPool::instance().enabled();
 }
 
-void RnsCkksBackend::keySwitch(const uint64_t *Digits, int Level,
-                               const KSwitchKey &Key, LimbBuffer &OutB,
-                               LimbBuffer &OutA) const {
-  size_t Components = Level + 1;
-  const bool Lazy = lazyInnerProduct(Components);
-  if (Lazy) {
-    // Every output element is overwritten by the final reduction.
-    OutB.resizeUninit(Components * Degree);
-    OutA.resizeUninit(Components * Degree);
-  } else {
-    OutB.assignZero(Components * Degree);
-    OutA.assignZero(Components * Degree);
+void RnsCkksBackend::requireKeyLevel(const KSwitchKey &Key, int Level,
+                                     int Steps) const {
+  if (Key.Level >= Level)
+    return;
+  if (Steps == 0)
+    throw MissingRotationKeyError(formatError(
+        "the relinearization key was generated up to level ", Key.Level,
+        " but the ciphertext multiply runs at level ", Level));
+  throw MissingRotationKeyError(formatError(
+      "the Galois key for rotation by ", Steps, " was generated up to level ",
+      Key.Level, " but the ciphertext is at level ", Level,
+      "; available rotation steps: ", describeRotationSteps(RotationSteps)));
+}
+
+RnsCkksBackend::ExtendedBasis
+RnsCkksBackend::modUp(const uint64_t *Ntt, uint64_t *Coeff, int Level) const {
+  ExtendedBasis E;
+  E.Level = Level;
+  const size_t R = size_t(Level) + 1;
+  E.Digits = activeDigits(Level);
+  E.Rows = R + SpecialLen;
+  E.Row.assign(E.Digits * E.Rows, nullptr);
+  const size_t Moduli = ChainLen + SpecialLen;
+  // The digit's own rows are the input limbs themselves (forward() and
+  // inverse() are exact mutual inverses on fully reduced vectors); every
+  // other row is converted into Storage.
+  std::vector<std::pair<size_t, size_t>> Converted; // (digit, row)
+  for (size_t D = 0; D < E.Digits; ++D)
+    for (size_t Row = 0; Row < E.Rows; ++Row) {
+      if (Row < R && DigitOf[Row] == D)
+        E.Row[D * E.Rows + Row] = Ntt + Row * Degree;
+      else
+        Converted.emplace_back(D, Row);
+    }
+  E.Storage.resizeUninit(Converted.size() * Degree);
+  for (size_t I = 0; I < Converted.size(); ++I) {
+    auto [D, Row] = Converted[I];
+    E.Row[D * E.Rows + Row] = E.Storage.data() + I * Degree;
   }
-  LimbBuffer AccBSp(Degree), AccASp(Degree);
-  if (!Lazy) {
-    AccBSp.assignZero(Degree);
-    AccASp.assignZero(Degree);
+  // The active slice of digit D: whole, or cut after q_Level.
+  auto sliceOf = [&](size_t D) -> const ModUpSlice & {
+    return SliceByTop[std::min(digitEnd(D), R) - 1];
+  };
+
+  // Fast base conversion, step 1: x_i * (Q'/q_i)^{-1} mod q_i in place.
+  // Single-prime slices have a unit factor and are left alone.
+  parallelFor(0, R, 1, [&](size_t I) {
+    const ModUpSlice &S = sliceOf(DigitOf[I]);
+    if (S.End - S.Begin == 1)
+      return;
+    const uint64_t Q = ChainMods[I].value();
+    uint64_t W = S.HatInv[I - S.Begin], WShoup = S.HatInvShoup[I - S.Begin];
+    uint64_t *X = Coeff + I * Degree;
+    for (size_t K = 0; K < Degree; ++K)
+      X[K] = shoupMulMod(X[K], W, WShoup, Q);
+  });
+
+  // Step 2: sum_i [x_i (Q'/q_i)^{-1}]_{q_i} * (Q'/q_i) mod each outside
+  // modulus, then to NTT form.
+  parallelFor(0, Converted.size(), 1, [&](size_t Idx) {
+    auto [D, Row] = Converted[Idx];
+    size_t M = Row < R ? Row : ChainLen + (Row - R);
+    const Modulus &Q = modAt(M);
+    const ModUpSlice &S = sliceOf(D);
+    uint64_t *Dst = E.Storage.data() + Idx * Degree;
+    if (S.End - S.Begin == 1) {
+      const uint64_t *Src = Coeff + S.Begin * Degree;
+      for (size_t K = 0; K < Degree; ++K)
+        Dst[K] = Q.reduce(Src[K]);
+    } else {
+      auto Acc = PooledScratch<unsigned __int128>::zeroed(Degree);
+      for (size_t I = S.Begin; I < S.End; ++I) {
+        const uint64_t W = S.HatMod[(I - S.Begin) * Moduli + M];
+        const uint64_t *Src = Coeff + I * Degree;
+        for (size_t K = 0; K < Degree; ++K)
+          Acc[K] += static_cast<unsigned __int128>(Src[K]) * W;
+        // Terms are < 2^122: fold every 32 to keep the sum in range.
+        if ((I - S.Begin) % 32 == 31)
+          for (size_t K = 0; K < Degree; ++K)
+            Acc[K] = Q.reduce128(Acc[K]);
+      }
+      for (size_t K = 0; K < Degree; ++K)
+        Dst[K] = Q.reduce128(Acc[K]);
+    }
+    nttAt(M).forward(Dst);
+  });
+  KsStats->ForwardNtts.fetch_add(Converted.size(), std::memory_order_relaxed);
+  return E;
+}
+
+void RnsCkksBackend::keySwitchJobs(
+    const ExtendedBasis &Ext, const std::vector<KeySwitchJob> &Jobs) const {
+  const size_t R = size_t(Ext.Level) + 1;
+  const size_t Rows = Ext.Rows;
+  const size_t Fan = Jobs.size();
+  const bool Lazy = lazyInnerProduct(Ext.Digits);
+  // Special-prime tails of every job's two accumulators, in one arena:
+  // job A's B tail at 2A, its A tail at 2A + 1 (SpecialLen limbs each).
+  const size_t Tail = SpecialLen * Degree;
+  LimbBuffer Sp;
+  if (Lazy) {
+    // Every element is overwritten by the final lazy reduction.
+    Sp.resizeUninit(2 * Fan * Tail);
+  } else {
+    Sp.assignZero(2 * Fan * Tail);
+    for (const KeySwitchJob &Job : Jobs) {
+      std::memset(Job.OutB, 0, R * Degree * sizeof(uint64_t));
+      std::memset(Job.OutA, 0, R * Degree * sizeof(uint64_t));
+    }
   }
 
-  // Loop interchange vs. the textbook order: the outer (parallel) loop
-  // walks the output moduli, each of which owns a disjoint accumulator;
-  // the inner loop walks the digits sequentially in the original order,
-  // so every output element sees the same addition order as a sequential
-  // run and results stay bit-identical.
-  parallelFor(0, Components + 1, 1, [&](size_t J) {
-    size_t ModIndex = J < Components ? J : ChainLen; // special last
-    const Modulus &Q = modAt(ModIndex);
-    LimbBuffer Tmp(Degree);
+  // The parallel loop fans out over (job, output modulus) pairs with
+  // disjoint accumulators; the digit loop stays sequential, so results
+  // are bit-identical at any thread count.
+  parallelFor(0, Fan * Rows, 1, [&](size_t Flat) {
+    size_t A = Flat / Rows;
+    size_t Row = Flat % Rows;
+    const KeySwitchJob &Job = Jobs[A];
+    const KSwitchKey &Key = *Job.Key;
+    size_t M = Row < R ? Row : ChainLen + (Row - R);
+    size_t KeyRow = Row < R ? Row : size_t(Key.Level) + 1 + (Row - R);
+    const Modulus &Q = modAt(M);
+    uint64_t *DstB = Row < R ? Job.OutB + Row * Degree
+                             : Sp.data() + 2 * A * Tail + (Row - R) * Degree;
+    uint64_t *DstA = Row < R
+                         ? Job.OutA + Row * Degree
+                         : Sp.data() + (2 * A + 1) * Tail + (Row - R) * Degree;
+    const uint32_t *Perm = Job.Perm ? Job.Perm->data() : nullptr;
     PooledScratch<unsigned __int128> LzB, LzA;
+    LimbBuffer Sigma;
     if (Lazy) {
       LzB = PooledScratch<unsigned __int128>::zeroed(Degree);
       LzA = PooledScratch<unsigned __int128>::zeroed(Degree);
+    } else if (Perm) {
+      Sigma.resizeUninit(Degree);
     }
-    uint64_t *DstB =
-        ModIndex == ChainLen ? AccBSp.data() : OutB.data() + J * Degree;
-    uint64_t *DstA =
-        ModIndex == ChainLen ? AccASp.data() : OutA.data() + J * Degree;
-    for (size_t I = 0; I < Components; ++I) {
-      const uint64_t *Digit = Digits + I * Degree;
-      if (ModIndex == I) {
-        std::memcpy(Tmp.data(), Digit, Degree * sizeof(uint64_t));
-      } else {
-        for (size_t K = 0; K < Degree; ++K)
-          Tmp[K] = Q.reduce(Digit[K]);
-      }
-      nttAt(ModIndex).forward(Tmp.data());
-      const uint64_t *KeyB = Key.B[I].data() + ModIndex * Degree;
-      const uint64_t *KeyA = Key.A[I].data() + ModIndex * Degree;
+    for (size_t D = 0; D < Ext.Digits; ++D) {
+      const uint64_t *Src = Ext.at(D, Row);
+      const uint64_t *KeyB = Key.B[D].data() + KeyRow * Degree;
+      const uint64_t *KeyA = Key.A[D].data() + KeyRow * Degree;
       if (Lazy) {
-        for (size_t K = 0; K < Degree; ++K) {
-          LzB[K] += static_cast<unsigned __int128>(Tmp[K]) * KeyB[K];
-          LzA[K] += static_cast<unsigned __int128>(Tmp[K]) * KeyA[K];
-        }
-      } else {
-        for (size_t K = 0; K < Degree; ++K) {
-          DstB[K] = Q.addMod(DstB[K], Q.mulMod(Tmp[K], KeyB[K]));
-          DstA[K] = Q.addMod(DstA[K], Q.mulMod(Tmp[K], KeyA[K]));
-        }
+        if (Perm)
+          for (size_t K = 0; K < Degree; ++K) {
+            unsigned __int128 V = Src[Perm[K]];
+            LzB[K] += V * KeyB[K];
+            LzA[K] += V * KeyA[K];
+          }
+        else
+          for (size_t K = 0; K < Degree; ++K) {
+            unsigned __int128 V = Src[K];
+            LzB[K] += V * KeyB[K];
+            LzA[K] += V * KeyA[K];
+          }
+        continue;
+      }
+      if (Perm) {
+        for (size_t K = 0; K < Degree; ++K)
+          Sigma[K] = Src[Perm[K]];
+        Src = Sigma.data();
+      }
+      for (size_t K = 0; K < Degree; ++K) {
+        DstB[K] = Q.addMod(DstB[K], Q.mulMod(Src[K], KeyB[K]));
+        DstA[K] = Q.addMod(DstA[K], Q.mulMod(Src[K], KeyA[K]));
       }
     }
     if (Lazy)
@@ -636,111 +964,102 @@ void RnsCkksBackend::keySwitch(const uint64_t *Digits, int Level,
         DstA[K] = Q.reduce128(LzA[K]);
       }
   });
-  KsStats->ForwardNtts.fetch_add(Components * (Components + 1),
-                                 std::memory_order_relaxed);
-  divideBySpecialPair(OutB.data(), AccBSp.data(), OutA.data(),
-                      AccASp.data(), Level);
+
+  for (size_t A = 0; A < Fan; ++A)
+    modDownPair(Jobs[A].OutB, Sp.data() + 2 * A * Tail, Jobs[A].OutA,
+                Sp.data() + (2 * A + 1) * Tail, Ext.Level);
 }
 
-void RnsCkksBackend::keySwitchGalois(const uint64_t *Digits, int Level,
-                                     uint64_t Elt, const KSwitchKey &Key,
-                                     LimbBuffer &OutB,
-                                     LimbBuffer &OutA) const {
-  size_t Components = Level + 1;
-  const bool Lazy = lazyInnerProduct(Components);
-  if (Lazy) {
-    OutB.resizeUninit(Components * Degree);
-    OutA.resizeUninit(Components * Degree);
-  } else {
-    OutB.assignZero(Components * Degree);
-    OutA.assignZero(Components * Degree);
-  }
-  LimbBuffer AccBSp(Degree), AccASp(Degree);
-  if (!Lazy) {
-    AccBSp.assignZero(Degree);
-    AccASp.assignZero(Degree);
-  }
-
-  // Same loop interchange as keySwitch: the parallel loop owns disjoint
-  // per-modulus accumulators, the sequential digit loop fixes the fold
-  // order, so results are bit-identical at any thread count.
-  parallelFor(0, Components + 1, 1, [&](size_t J) {
-    size_t ModIndex = J < Components ? J : ChainLen; // special last
-    const Modulus &Q = modAt(ModIndex);
-    LimbBuffer Tmp(Degree), Sigma(Degree);
-    PooledScratch<unsigned __int128> LzB, LzA;
-    if (Lazy) {
-      LzB = PooledScratch<unsigned __int128>::zeroed(Degree);
-      LzA = PooledScratch<unsigned __int128>::zeroed(Degree);
-    }
-    uint64_t *DstB =
-        ModIndex == ChainLen ? AccBSp.data() : OutB.data() + J * Degree;
-    uint64_t *DstA =
-        ModIndex == ChainLen ? AccASp.data() : OutA.data() + J * Degree;
-    for (size_t I = 0; I < Components; ++I) {
-      const uint64_t *Digit = Digits + I * Degree;
-      if (ModIndex == I) {
-        std::memcpy(Tmp.data(), Digit, Degree * sizeof(uint64_t));
-      } else {
-        for (size_t K = 0; K < Degree; ++K)
-          Tmp[K] = Q.reduce(Digit[K]);
-      }
-      applyAutomorphismRns(Tmp.data(), Sigma.data(), Degree, Elt,
-                           Q.value());
-      nttAt(ModIndex).forward(Sigma.data());
-      const uint64_t *KeyB = Key.B[I].data() + ModIndex * Degree;
-      const uint64_t *KeyA = Key.A[I].data() + ModIndex * Degree;
-      if (Lazy) {
-        for (size_t K = 0; K < Degree; ++K) {
-          LzB[K] += static_cast<unsigned __int128>(Sigma[K]) * KeyB[K];
-          LzA[K] += static_cast<unsigned __int128>(Sigma[K]) * KeyA[K];
-        }
-      } else {
-        for (size_t K = 0; K < Degree; ++K) {
-          DstB[K] = Q.addMod(DstB[K], Q.mulMod(Sigma[K], KeyB[K]));
-          DstA[K] = Q.addMod(DstA[K], Q.mulMod(Sigma[K], KeyA[K]));
-        }
-      }
-    }
-    if (Lazy)
-      for (size_t K = 0; K < Degree; ++K) {
-        DstB[K] = Q.reduce128(LzB[K]);
-        DstA[K] = Q.reduce128(LzA[K]);
-      }
+void RnsCkksBackend::modDownPair(uint64_t *BChain, uint64_t *BSpecial,
+                                 uint64_t *AChain, uint64_t *ASpecial,
+                                 int Level) const {
+  const size_t R = size_t(Level) + 1;
+  KsStats->ForwardNtts.fetch_add(2 * R, std::memory_order_relaxed);
+  KsStats->InverseNtts.fetch_add(2 * SpecialLen, std::memory_order_relaxed);
+  parallelFor(0, 2 * SpecialLen, 1, [&](size_t I) {
+    size_t S = I % SpecialLen;
+    uint64_t *Limb = (I < SpecialLen ? BSpecial : ASpecial) + S * Degree;
+    SpecialNtt[S]->inverse(Limb);
   });
-  KsStats->ForwardNtts.fetch_add(Components * (Components + 1),
-                                 std::memory_order_relaxed);
-  divideBySpecialPair(OutB.data(), AccBSp.data(), OutA.data(),
-                      AccASp.data(), Level);
-}
 
-void RnsCkksBackend::divideBySpecialPair(uint64_t *BChain,
-                                         uint64_t *BSpecial,
-                                         uint64_t *AChain,
-                                         uint64_t *ASpecial,
-                                         int Level) const {
-  // Counter totals match the two single-polynomial divisions this pass
-  // replaces (profiling asserts the hoisting amortization ratios).
-  KsStats->ForwardNtts.fetch_add(2 * (size_t(Level) + 1),
-                                 std::memory_order_relaxed);
-  KsStats->InverseNtts.fetch_add(2, std::memory_order_relaxed);
-  SpecialNtt->inverse(BSpecial);
-  SpecialNtt->inverse(ASpecial);
-  uint64_t P = SpecialMod.value();
-  uint64_t HalfP = P >> 1;
-  parallelFor(0, size_t(Level) + 1, 1, [&](size_t J) {
+  // The accumulator a is known modulo P through its residues a_s. Its
+  // centred representative is r = sum_s y_s (P/p_s) - beta P with
+  // y_s = a_s (P/p_s)^{-1} mod p_s and beta = round(sum_s y_s / p_s):
+  // the fractional part of that sum is a/P, so beta only depends on the
+  // sum within about k * 2^-63 of a half-integer, where both candidate
+  // representatives have magnitude P/2. With one special prime y = a
+  // and beta is the exact test a > p/2.
+  LimbBuffer BetaB(Degree), BetaA(Degree);
+  if (SpecialLen == 1) {
+    const uint64_t HalfP = SpecialMods[0].value() >> 1;
+    for (size_t K = 0; K < Degree; ++K) {
+      BetaB[K] = BSpecial[K] > HalfP;
+      BetaA[K] = ASpecial[K] > HalfP;
+    }
+  } else {
+    // y_s in place of a_s.
+    parallelFor(0, 2 * SpecialLen, 1, [&](size_t I) {
+      size_t S = I % SpecialLen;
+      uint64_t *Y = (I < SpecialLen ? BSpecial : ASpecial) + S * Degree;
+      const uint64_t P = SpecialMods[S].value();
+      uint64_t W = PHatInvModP[S], WShoup = shoupPrecompute(W, P);
+      for (size_t K = 0; K < Degree; ++K)
+        Y[K] = shoupMulMod(Y[K], W, WShoup, P);
+    });
+    std::vector<long double> InvP(SpecialLen);
+    for (size_t S = 0; S < SpecialLen; ++S)
+      InvP[S] = 1.0L / static_cast<long double>(SpecialMods[S].value());
+    globalThreadPool().parallelForBlocks(
+        0, Degree, 1024, [&](size_t Lo, size_t Hi) {
+          for (size_t K = Lo; K < Hi; ++K) {
+            long double SumB = 0, SumA = 0;
+            for (size_t S = 0; S < SpecialLen; ++S) {
+              SumB += static_cast<long double>(BSpecial[S * Degree + K]) *
+                      InvP[S];
+              SumA += static_cast<long double>(ASpecial[S * Degree + K]) *
+                      InvP[S];
+            }
+            BetaB[K] = static_cast<uint64_t>(SumB + 0.5L);
+            BetaA[K] = static_cast<uint64_t>(SumA + 0.5L);
+          }
+        });
+  }
+
+  parallelFor(0, R, 1, [&](size_t J) {
     const Modulus &Q = ChainMods[J];
     LimbBuffer CorrB(Degree), CorrA(Degree);
+    // beta * P mod q_j for every possible beta in [0, k].
+    std::vector<uint64_t> BetaP(SpecialLen + 1, 0);
+    for (size_t B = 1; B <= SpecialLen; ++B)
+      BetaP[B] = Q.addMod(BetaP[B - 1], PModChain[J]);
+    // sum_s y_s (P/p_s) mod q_j with Shoup products (any 64-bit y_s
+    // lands in [0, 2q)), the running sums kept below 2q.
+    const uint64_t Qv = Q.value(), TwoQ = 2 * Qv;
+    for (size_t S = 0; S < SpecialLen; ++S) {
+      const uint64_t H = PHatModChain[S * ChainLen + J];
+      const uint64_t HShoup = shoupPrecompute(H, Qv);
+      const uint64_t *YB = BSpecial + S * Degree;
+      const uint64_t *YA = ASpecial + S * Degree;
+      for (size_t K = 0; K < Degree; ++K) {
+        uint64_t TB = shoupMulModLazy(YB[K], H, HShoup, Qv);
+        uint64_t TA = shoupMulModLazy(YA[K], H, HShoup, Qv);
+        if (S > 0) {
+          TB += CorrB[K];
+          TA += CorrA[K];
+        }
+        CorrB[K] = TB >= TwoQ ? TB - TwoQ : TB;
+        CorrA[K] = TA >= TwoQ ? TA - TwoQ : TA;
+      }
+    }
     for (size_t K = 0; K < Degree; ++K) {
-      uint64_t TB = BSpecial[K];
-      uint64_t TA = ASpecial[K];
-      // Centered representative of T mod p, reduced into Z_q.
-      CorrB[K] = TB > HalfP ? Q.negMod(Q.reduce(P - TB)) : Q.reduce(TB);
-      CorrA[K] = TA > HalfP ? Q.negMod(Q.reduce(P - TA)) : Q.reduce(TA);
+      uint64_t CB = CorrB[K] >= Qv ? CorrB[K] - Qv : CorrB[K];
+      uint64_t CA = CorrA[K] >= Qv ? CorrA[K] - Qv : CorrA[K];
+      CorrB[K] = Q.subMod(CB, BetaP[BetaB[K]]);
+      CorrA[K] = Q.subMod(CA, BetaP[BetaA[K]]);
     }
     ChainNtt[J]->forward(CorrB.data());
     ChainNtt[J]->forward(CorrA.data());
-    uint64_t Inv = SpecialInvModChain[J];
+    uint64_t Inv = PInvModChain[J];
     uint64_t InvShoup = shoupPrecompute(Inv, Q.value());
     uint64_t *DstB = BChain + J * Degree;
     uint64_t *DstA = AChain + J * Degree;
@@ -755,11 +1074,13 @@ void RnsCkksBackend::divideBySpecialPair(uint64_t *BChain,
 
 void RnsCkksBackend::mulAssign(Ct &C, const Ct &Other) {
   int L = C.Level < Other.Level ? C.Level : Other.Level;
+  requireKeyLevel(RelinKey, L, 0);
   modSwitchTo(C, L);
+  const size_t R = size_t(L) + 1;
 
-  LimbBuffer D0((size_t(L) + 1) * Degree), D1((size_t(L) + 1) * Degree);
-  LimbBuffer D2((size_t(L) + 1) * Degree);
-  parallelFor(0, size_t(L) + 1, 1, [&](size_t J) {
+  LimbBuffer D0(R * Degree), D1(R * Degree);
+  LimbBuffer D2(R * Degree), D2Ntt(R * Degree);
+  parallelFor(0, R, 1, [&](size_t J) {
     const Modulus &Q = ChainMods[J];
     const uint64_t *A0 = C.C0.data() + J * Degree;
     const uint64_t *A1 = C.C1.data() + J * Degree;
@@ -768,20 +1089,22 @@ void RnsCkksBackend::mulAssign(Ct &C, const Ct &Other) {
     uint64_t *O0 = D0.data() + J * Degree;
     uint64_t *O1 = D1.data() + J * Degree;
     uint64_t *O2 = D2.data() + J * Degree;
+    uint64_t *O2N = D2Ntt.data() + J * Degree;
     for (size_t K = 0; K < Degree; ++K) {
       O0[K] = Q.mulMod(A0[K], B0[K]);
       O1[K] = Q.addMod(Q.mulMod(A0[K], B1[K]), Q.mulMod(A1[K], B0[K]));
+      O2N[K] = Q.mulMod(A1[K], B1[K]);
     }
-    // Digits must be coefficient form; the fused kernel folds the c1*c1
-    // product into the inverse transform's first stage, saving one full
-    // pass over the limb.
+    // ModUp needs c1*c1 in coefficient form too; the fused kernel folds
+    // the product into the inverse transform's first stage.
     ChainNtt[J]->pointwiseMulInverse(O2, A1, B1);
   });
+  KsStats->InverseNtts.fetch_add(R, std::memory_order_relaxed);
 
-  KsStats->InverseNtts.fetch_add(size_t(L) + 1, std::memory_order_relaxed);
-  LimbBuffer KB, KA;
-  keySwitch(D2.data(), L, RelinKey, KB, KA);
-  parallelFor(0, size_t(L) + 1, 1, [&](size_t J) {
+  ExtendedBasis Ext = modUp(D2Ntt.data(), D2.data(), L);
+  LimbBuffer KB(R * Degree), KA(R * Degree);
+  keySwitchJobs(Ext, {{&RelinKey, nullptr, KB.data(), KA.data()}});
+  parallelFor(0, R, 1, [&](size_t J) {
     const Modulus &Q = ChainMods[J];
     uint64_t *Dst0 = C.C0.data() + J * Degree;
     uint64_t *Dst1 = C.C1.data() + J * Degree;
@@ -797,46 +1120,38 @@ void RnsCkksBackend::mulAssign(Ct &C, const Ct &Other) {
   C.Scale *= Other.Scale;
 }
 
-void RnsCkksBackend::rotateByElement(Ct &C, uint64_t Elt,
-                                     const KSwitchKey &Key) {
-  int L = C.Level;
-  // Key-switch digits are the *unrotated* c1 components in coefficient
-  // form; keySwitchGalois applies sigma_Elt after reducing each digit
-  // into its output modulus. This reduce-then-rotate order matches the
-  // lift the hoisted rotLeftMany path uses, keeping both bit-identical.
-  LimbBuffer Digits((size_t(L) + 1) * Degree);
-  parallelFor(0, size_t(L) + 1, 1, [&](size_t J) {
-    const Modulus &Q = ChainMods[J];
-    LimbBuffer Coeff(Degree), SigmaCoeff(Degree);
-    uint64_t *Digit = Digits.data() + J * Degree;
-    std::memcpy(Digit, C.C1.data() + J * Degree,
-                Degree * sizeof(uint64_t));
+void RnsCkksBackend::rotateByElement(Ct &C, const KSwitchKey &Key,
+                                     const std::vector<uint32_t> &Perm) {
+  const int L = C.Level;
+  const size_t R = size_t(L) + 1;
+  // ModUp the *unrotated* c1 and permute the extended basis in the NTT
+  // domain: the same lift rotLeftMany's hoisted base uses, so both paths
+  // are bit-identical.
+  LimbBuffer Coeff(R * Degree);
+  parallelFor(0, R, 1, [&](size_t J) {
+    uint64_t *Digit = Coeff.data() + J * Degree;
+    std::memcpy(Digit, C.C1.data() + J * Degree, Degree * sizeof(uint64_t));
     ChainNtt[J]->inverse(Digit);
-    // sigma(c0) goes straight back to NTT form.
-    std::memcpy(Coeff.data(), C.C0.data() + J * Degree,
-                Degree * sizeof(uint64_t));
-    ChainNtt[J]->inverse(Coeff.data());
-    applyAutomorphismRns(Coeff.data(), SigmaCoeff.data(), Degree, Elt,
-                         Q.value());
-    ChainNtt[J]->forward(SigmaCoeff.data());
-    std::memcpy(C.C0.data() + J * Degree, SigmaCoeff.data(),
-                Degree * sizeof(uint64_t));
   });
-  KsStats->InverseNtts.fetch_add(2 * (size_t(L) + 1),
-                                 std::memory_order_relaxed);
-  KsStats->ForwardNtts.fetch_add(size_t(L) + 1, std::memory_order_relaxed);
+  KsStats->InverseNtts.fetch_add(R, std::memory_order_relaxed);
   KsStats->Rotations.fetch_add(1, std::memory_order_relaxed);
 
-  LimbBuffer KB, KA;
-  keySwitchGalois(Digits.data(), L, Elt, Key, KB, KA);
-  parallelFor(0, size_t(L) + 1, 1, [&](size_t J) {
+  ExtendedBasis Ext = modUp(C.C1.data(), Coeff.data(), L);
+  LimbBuffer KB(R * Degree), KA(R * Degree);
+  keySwitchJobs(Ext, {{&Key, &Perm, KB.data(), KA.data()}});
+  // sigma(c0) is a pure NTT-domain permutation of the stored limbs (the
+  // limbs are fully reduced, so no transforms are needed).
+  parallelFor(0, R, 1, [&](size_t J) {
     const Modulus &Q = ChainMods[J];
-    uint64_t *Dst0 = C.C0.data() + J * Degree;
+    LimbBuffer Sigma(Degree);
+    const uint64_t *Src = C.C0.data() + J * Degree;
     const uint64_t *K0 = KB.data() + J * Degree;
     for (size_t K = 0; K < Degree; ++K)
-      Dst0[K] = Q.addMod(Dst0[K], K0[K]);
+      Sigma[K] = Q.addMod(Src[Perm[K]], K0[K]);
+    std::memcpy(C.C0.data() + J * Degree, Sigma.data(),
+                Degree * sizeof(uint64_t));
   });
-  std::memcpy(C.C1.data(), KA.data(), (L + 1) * Degree * sizeof(uint64_t));
+  std::memcpy(C.C1.data(), KA.data(), R * Degree * sizeof(uint64_t));
 }
 
 void RnsCkksBackend::rotLeftAssign(Ct &C, int Steps) {
@@ -850,18 +1165,21 @@ void RnsCkksBackend::rotLeftAssign(Ct &C, int Steps) {
   uint64_t Elt = Encoder.galoisElement(static_cast<int>(S));
   auto It = GaloisKeys.find(Elt);
   if (It != GaloisKeys.end()) {
-    rotateByElement(C, Elt, It->second);
+    requireKeyLevel(It->second, C.Level, Steps);
+    rotateByElement(C, It->second, GaloisPerms.at(Elt));
     return;
   }
   // No dedicated key: fall back to the default power-of-two key set,
   // taking the shorter direction (Section 2.4: "use multiple rotations to
-  // achieve the desired amount").
+  // achieve the desired amount"). Every hop's key is checked before the
+  // first one runs, so a failure leaves C untouched.
   int64_t Remaining = S <= static_cast<int64_t>(Slots / 2)
                           ? S
                           : S - static_cast<int64_t>(Slots);
   int Direction = Remaining >= 0 ? 1 : -1;
   uint64_t Mag = static_cast<uint64_t>(Remaining >= 0 ? Remaining
                                                       : -Remaining);
+  std::vector<uint64_t> Hops;
   for (int Bit = 0; Mag != 0; ++Bit, Mag >>= 1) {
     if (!(Mag & 1))
       continue;
@@ -874,8 +1192,11 @@ void RnsCkksBackend::rotLeftAssign(Ct &C, int Steps) {
           " (power-of-two decomposition needs step ", Step,
           "); available rotation steps: ",
           describeRotationSteps(RotationSteps)));
-    rotateByElement(C, E, KeyIt->second);
+    requireKeyLevel(KeyIt->second, C.Level, Step);
+    Hops.push_back(E);
   }
+  for (uint64_t E : Hops)
+    rotateByElement(C, GaloisKeys.at(E), GaloisPerms.at(E));
 }
 
 std::vector<RnsCkksBackend::Ct>
@@ -884,9 +1205,9 @@ RnsCkksBackend::rotLeftMany(const Ct &C, const std::vector<int> &Steps) {
   const int64_t Slots = static_cast<int64_t>(slotCount());
 
   // Partition the amounts: zero steps are copies, amounts with a
-  // dedicated Galois key (and its NTT-domain permutation) hoist, the
-  // rest run the per-rotation path (whose power-of-two hop chains cannot
-  // share one decomposition).
+  // dedicated Galois key serving C's level hoist, the rest run the
+  // per-rotation path (whose power-of-two hop chains cannot share one
+  // decomposition, and which reports keys generated too short).
   struct HoistAmount {
     size_t Idx;
     const KSwitchKey *Key;
@@ -903,10 +1224,9 @@ RnsCkksBackend::rotLeftMany(const Ct &C, const std::vector<int> &Steps) {
     }
     uint64_t Elt = Encoder.galoisElement(static_cast<int>(S));
     auto KeyIt = GaloisKeys.find(Elt);
-    auto PermIt = GaloisPerms.find(Elt);
     if (Hoisting && KeyIt != GaloisKeys.end() &&
-        PermIt != GaloisPerms.end()) {
-      Hoist.push_back({I, &KeyIt->second, &PermIt->second});
+        KeyIt->second.Level >= C.Level) {
+      Hoist.push_back({I, &KeyIt->second, &GaloisPerms.at(Elt)});
     } else {
       Out[I] = C;
       rotLeftAssign(Out[I], static_cast<int>(S));
@@ -916,124 +1236,43 @@ RnsCkksBackend::rotLeftMany(const Ct &C, const std::vector<int> &Steps) {
     return Out;
 
   const int L = C.Level;
-  const size_t Components = size_t(L) + 1;
+  const size_t R = size_t(L) + 1;
 
-  // Shared digit decomposition: digit I = invNTT_I(c1 limb I), packed
-  // flat at stride Degree.
-  LimbBuffer DC(Components * Degree);
-  parallelFor(0, Components, 1, [&](size_t I) {
-    uint64_t *Digit = DC.data() + I * Degree;
-    std::memcpy(Digit, C.C1.data() + I * Degree,
-                Degree * sizeof(uint64_t));
+  // Shared ModUp of c1, once for the whole batch.
+  LimbBuffer Coeff(R * Degree);
+  parallelFor(0, R, 1, [&](size_t I) {
+    uint64_t *Digit = Coeff.data() + I * Degree;
+    std::memcpy(Digit, C.C1.data() + I * Degree, Degree * sizeof(uint64_t));
     ChainNtt[I]->inverse(Digit);
   });
+  KsStats->InverseNtts.fetch_add(R, std::memory_order_relaxed);
+  ExtendedBasis Ext = modUp(C.C1.data(), Coeff.data(), L);
 
-  // Shared base: Base[J] packs NTT_J(reduce_J(digit I)) for every digit,
-  // for each output modulus J (chain primes then the special prime).
-  // The diagonal J == I is the stored NTT-form limb itself: forward()
-  // and inverse() are exact mutual inverses on fully reduced vectors.
-  std::vector<LimbBuffer> Base(Components + 1);
-  for (auto &B : Base)
-    B.resizeUninit(Components * Degree);
-  parallelFor(0, (Components + 1) * Components, 1, [&](size_t Flat) {
-    size_t J = Flat / Components;
-    size_t I = Flat % Components;
-    size_t ModIndex = J < Components ? J : ChainLen; // special last
-    const Modulus &Q = modAt(ModIndex);
-    uint64_t *Dst = Base[J].data() + I * Degree;
-    if (ModIndex == I) {
-      std::memcpy(Dst, C.C1.data() + I * Degree, Degree * sizeof(uint64_t));
-    } else {
-      const uint64_t *Digit = DC.data() + I * Degree;
-      for (size_t K = 0; K < Degree; ++K)
-        Dst[K] = Q.reduce(Digit[K]);
-      nttAt(ModIndex).forward(Dst);
-    }
-  });
-  KsStats->InverseNtts.fetch_add(Components, std::memory_order_relaxed);
-  KsStats->ForwardNtts.fetch_add(Components * Components,
-                                 std::memory_order_relaxed);
-
-  // Per-amount inner products against the shared base. The parallel loop
-  // fans out over (amount, output modulus) pairs with disjoint
-  // accumulators; the digit loop stays sequential in the original order,
-  // so results are bit-identical at any thread count.
+  // Per-amount inner products and ModDowns against the shared basis. KA
+  // becomes each output's C1 via move, so it stays a std::vector; the
+  // B-side accumulators share one pooled arena.
   const size_t Fan = Hoist.size();
-  const bool Lazy = lazyInnerProduct(Components);
-  // KA becomes each output's C1 via move, so it stays a std::vector; the
-  // B-side accumulators and special-prime tails draw from the pool.
-  std::vector<LimbBuffer> KB(Fan), SpB(Fan), SpA(Fan);
+  LimbBuffer KB(Fan * R * Degree);
   std::vector<std::vector<uint64_t>> KA(Fan);
+  std::vector<KeySwitchJob> Jobs(Fan);
   for (size_t A = 0; A < Fan; ++A) {
-    if (Lazy) {
-      // Every element is overwritten by the final lazy reduction.
-      KB[A].resizeUninit(Components * Degree);
-      SpB[A].resizeUninit(Degree);
-      SpA[A].resizeUninit(Degree);
-    } else {
-      KB[A].assignZero(Components * Degree);
-      SpB[A].assignZero(Degree);
-      SpA[A].assignZero(Degree);
-    }
-    KA[A].assign(Components * Degree, 0);
+    KA[A].resize(R * Degree);
+    Jobs[A] = {Hoist[A].Key, Hoist[A].Perm, KB.data() + A * R * Degree,
+               KA[A].data()};
   }
-  parallelFor(0, Fan * (Components + 1), 1, [&](size_t Flat) {
-    size_t A = Flat / (Components + 1);
-    size_t J = Flat % (Components + 1);
-    size_t ModIndex = J < Components ? J : ChainLen;
-    const Modulus &Q = modAt(ModIndex);
-    const std::vector<uint32_t> &Perm = *Hoist[A].Perm;
-    const KSwitchKey &Key = *Hoist[A].Key;
-    uint64_t *DstB =
-        ModIndex == ChainLen ? SpB[A].data() : KB[A].data() + J * Degree;
-    uint64_t *DstA =
-        ModIndex == ChainLen ? SpA[A].data() : KA[A].data() + J * Degree;
-    LimbBuffer Sigma(Degree);
-    PooledScratch<unsigned __int128> LzB, LzA;
-    if (Lazy) {
-      LzB = PooledScratch<unsigned __int128>::zeroed(Degree);
-      LzA = PooledScratch<unsigned __int128>::zeroed(Degree);
-    }
-    for (size_t I = 0; I < Components; ++I) {
-      const uint64_t *Src = Base[J].data() + I * Degree;
-      for (size_t K = 0; K < Degree; ++K)
-        Sigma[K] = Src[Perm[K]];
-      const uint64_t *KeyB = Key.B[I].data() + ModIndex * Degree;
-      const uint64_t *KeyA = Key.A[I].data() + ModIndex * Degree;
-      if (Lazy) {
-        for (size_t K = 0; K < Degree; ++K) {
-          LzB[K] += static_cast<unsigned __int128>(Sigma[K]) * KeyB[K];
-          LzA[K] += static_cast<unsigned __int128>(Sigma[K]) * KeyA[K];
-        }
-      } else {
-        for (size_t K = 0; K < Degree; ++K) {
-          DstB[K] = Q.addMod(DstB[K], Q.mulMod(Sigma[K], KeyB[K]));
-          DstA[K] = Q.addMod(DstA[K], Q.mulMod(Sigma[K], KeyA[K]));
-        }
-      }
-    }
-    if (Lazy)
-      for (size_t K = 0; K < Degree; ++K) {
-        DstB[K] = Q.reduce128(LzB[K]);
-        DstA[K] = Q.reduce128(LzA[K]);
-      }
-  });
+  keySwitchJobs(Ext, Jobs);
 
   for (size_t A = 0; A < Fan; ++A) {
-    divideBySpecialPair(KB[A].data(), SpB[A].data(), KA[A].data(),
-                        SpA[A].data(), L);
     Ct &O = Out[Hoist[A].Idx];
     O.Level = L;
     O.Scale = C.Scale;
     O.C1 = std::move(KA[A]);
-    O.C0.resize(Components * Degree);
-    // sigma(c0) is a pure NTT-domain permutation of the stored limbs
-    // (the limbs are fully reduced, so no transforms are needed).
+    O.C0.resize(R * Degree);
     const std::vector<uint32_t> &Perm = *Hoist[A].Perm;
-    parallelFor(0, Components, 1, [&](size_t J) {
+    parallelFor(0, R, 1, [&](size_t J) {
       const Modulus &Q = ChainMods[J];
       const uint64_t *Src = C.C0.data() + J * Degree;
-      const uint64_t *K0 = KB[A].data() + J * Degree;
+      const uint64_t *K0 = Jobs[A].OutB + J * Degree;
       uint64_t *Dst = O.C0.data() + J * Degree;
       for (size_t K = 0; K < Degree; ++K)
         Dst[K] = Q.addMod(Src[Perm[K]], K0[K]);

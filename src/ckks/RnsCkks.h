@@ -17,15 +17,33 @@
 /// the CHET paper: maxRescale returns the product of the next moduli in
 /// the chain that fits under the requested bound).
 ///
-/// Key switching uses the hybrid per-prime ("RNS digit") decomposition
-/// with a single special prime p: the evaluation key for a target t is,
-/// for each digit i, an RLWE sample (b_i, a_i) modulo Q*p with
-/// b_i = -(a_i s) + e_i + p * T_i * t, where T_i is the CRT interpolation
-/// basis element (T_i = 1 mod q_i, 0 mod q_j). Switching a polynomial c
-/// accumulates sum_i [c]_{q_i} * (b_i, a_i) and divides by p with
-/// rounding. This is the standard GHS/SEAL construction whose cost is
-/// O(N log N r^2) per ciphertext multiplication or rotation -- exactly the
-/// RNS-CKKS column of Table 1 in the paper.
+/// Key switching is hybrid (Han-Ki): the chain primes are grouped into
+/// dnum contiguous digits Q_0..Q_{dnum-1} (RnsCkksParams::DigitBounds)
+/// and the special modulus P is a product of k primes
+/// (RnsCkksParams::SpecialPrimes). The evaluation key for a target t is,
+/// for each digit j, an RLWE sample (b_j, a_j) modulo Q*P with
+/// b_j = -(a_j s) + e_j + P * T_j * t, where T_j is the CRT idempotent
+/// of the digit (1 mod every prime of Q_j, 0 mod the other chain
+/// primes). Switching a polynomial c at level l
+///   - ModUp: extends each active digit [c]_{Q_j} from its own primes to
+///     every modulus of Q_l * P by fast base conversion (the few extra
+///     multiples of Q_j it admits are absorbed into the noise because
+///     P covers every digit),
+///   - takes the inner product sum_j ModUp_j(c) * (b_j, a_j), and
+///   - ModDown: divides by P, subtracting the exact centred
+///     representative of the accumulator modulo P.
+/// Relinearization, single rotations and the hoisted rotLeftMany fan-out
+/// share this one path; rotations apply the Galois automorphism as an
+/// NTT-domain permutation of the extended basis. With one prime per
+/// digit and one special prime this is exactly the classic GHS/SEAL
+/// per-prime construction, and reproduces it bit for bit.
+///
+/// Keys are level-aware: a key generated for level lk holds only the
+/// digits and moduli up to q_lk (plus P), so a key used only low in the
+/// chain costs a fraction of a full one. Using a key above its level is
+/// a typed MissingRotationKey error. The compiler picks the digit layout
+/// under the security budget and the level of every key
+/// (core/Compiler.h, DESIGN.md section 5k).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,6 +54,7 @@
 #include "ckks/SecurityTable.h"
 #include "hisa/Hisa.h"
 #include "math/Crt.h"
+#include "math/KeySwitchLayout.h"
 #include "math/Ntt.h"
 #include "support/LimbPool.h"
 #include "support/Prng.h"
@@ -45,18 +64,26 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <string>
 #include <vector>
 
 namespace chet {
 
-/// Parameters of an RNS-CKKS instantiation: the ring dimension and the
-/// explicit prime chain the compiler selected.
+/// Parameters of an RNS-CKKS instantiation: the ring dimension, the
+/// explicit prime chain the compiler selected, and the key-switching
+/// layout (special primes and digit grouping).
 struct RnsCkksParams {
   int LogN = 13;
   /// q_0 (a wide "base" prime) followed by the scaling primes q_1..q_L.
   std::vector<uint64_t> ChainPrimes;
-  /// The key-switching prime p (counts toward the security budget).
-  uint64_t SpecialPrime = 0;
+  /// The primes of the key-switching modulus P (count toward the
+  /// security budget); disjoint from the chain.
+  std::vector<uint64_t> SpecialPrimes;
+  /// Key-switching digit boundaries over ChainPrimes: digit d covers
+  /// chain primes [DigitBounds[d], DigitBounds[d + 1]), so the list runs
+  /// from 0 to ChainPrimes.size() strictly increasing. Empty means one
+  /// digit per chain prime.
+  std::vector<uint32_t> DigitBounds;
   SecurityLevel Security = SecurityLevel::Classical128;
   uint64_t Seed = 0x5ea1;
   /// Generate the default power-of-two rotation keys at construction.
@@ -75,18 +102,48 @@ struct RnsCkksParams {
   /// The candidate special prime, disjoint from candidateChain results.
   static uint64_t candidateSpecial(int Bits = 60);
 
-  /// Convenience constructor from the candidate lists.
+  /// \p Count special primes of \p Bits bits avoiding \p Chain; the
+  /// first is candidateSpecial(Bits) whenever the chain came from
+  /// candidateChain.
+  static std::vector<uint64_t>
+  candidateSpecials(int Count, int Bits, const std::vector<uint64_t> &Chain);
+
+  /// Convenience constructor from the candidate lists, with the per-prime
+  /// key-switching layout (one special prime, one digit per chain prime).
   static RnsCkksParams create(int LogN, int Levels, int FirstBits = 60,
                               int ScaleBits = 40,
                               SecurityLevel Security =
                                   SecurityLevel::Classical128);
 
-  /// Bits of the full ciphertext modulus q_0..q_L (excluding p).
+  /// Bits of the full ciphertext modulus q_0..q_L (excluding P).
   double logQ() const;
-  /// Bits of the total modulus including the special prime.
-  double logQP() const;
+  /// Bits of the special modulus P.
+  double logP() const;
+  /// Bits of the total modulus including every special prime.
+  double logQP() const { return logQ() + logP(); }
   /// Number of rescale levels L (ChainPrimes.size() - 1).
   int levels() const { return static_cast<int>(ChainPrimes.size()) - 1; }
+  /// The key-switching layout with DigitBounds spelled out (the
+  /// per-prime layout when DigitBounds is empty).
+  KeySwitchLayout keySwitchLayout() const;
+  /// Number of key-switching digits.
+  size_t digitCount() const {
+    return DigitBounds.empty() ? ChainPrimes.size() : DigitBounds.size() - 1;
+  }
+  /// Empty when the special primes and digit bounds are well formed;
+  /// otherwise says what is wrong (a missing special prime, one that is
+  /// also a chain prime, digits that do not cover the chain in order, or
+  /// an empty digit).
+  std::string keySwitchLayoutError() const;
+
+  /// Chooses the hybrid key-switching layout for this chain: the smallest
+  /// digit count whose special modulus -- just enough \p SpecialBits-bit
+  /// primes to cover the widest digit -- keeps logQP within \p MaxLogQP.
+  /// Digits are filled greedily from q_0 by nominal bit width. Writes
+  /// SpecialPrimes and DigitBounds and returns true, or returns false and
+  /// leaves the parameters untouched when not even one special prime
+  /// fits.
+  bool selectKeySwitchLayout(double MaxLogQP, int SpecialBits = 60);
 };
 
 /// The RNS-CKKS scheme exposed through the HISA. Constructing an instance
@@ -119,7 +176,10 @@ public:
     std::shared_ptr<Cache> NttCache;
   };
 
-  explicit RnsCkksBackend(const RnsCkksParams &Params);
+  /// \p RelinKeyLevel truncates the relinearization key to the digits
+  /// and moduli up to that level (-1: the full chain).
+  explicit RnsCkksBackend(const RnsCkksParams &Params,
+                          int RelinKeyLevel = -1);
 
   //===--------------------------------------------------------------===//
   // HISA instructions (Table 2).
@@ -172,15 +232,33 @@ public:
   // Key management and introspection.
   //===--------------------------------------------------------------===//
 
-  /// Generates Galois keys for exactly these rotation steps (the output of
-  /// CHET's rotation-key-selection pass, Section 5.4).
+  /// Generates full-level Galois keys for exactly these rotation steps
+  /// (the output of CHET's rotation-key-selection pass, Section 5.4).
   void generateRotationKeys(const std::vector<int> &Steps);
+
+  /// Level-aware variant: the key for Steps[i] covers only the digits and
+  /// moduli up to level Levels[i] (the highest level the circuit rotates
+  /// by that amount at). An empty \p Levels means full-level keys. A key
+  /// that already exists is regenerated only if it is too short.
+  void generateRotationKeys(const std::vector<int> &Steps,
+                            const std::vector<int> &Levels);
 
   /// Drops every rotation key, including the default power-of-two set.
   /// Used by benchmarks to isolate key-set configurations.
   void clearRotationKeys();
 
   bool hasRotationKey(int Steps) const;
+
+  /// Highest ciphertext level the Galois key for \p Steps serves, or -1
+  /// when there is no such key.
+  int rotationKeyLevel(int Steps) const;
+  /// Highest ciphertext level the relinearization key serves.
+  int relinKeyLevel() const { return RelinKey.Level; }
+
+  /// Bytes of key material this instance holds: the secret key (ternary
+  /// and per-modulus NTT forms), the public key, the relinearization key
+  /// and every Galois key with its NTT-domain permutation table.
+  uint64_t keyBytes() const;
 
   /// Number of rotation keys currently held.
   size_t rotationKeyCount() const { return GaloisKeys.size(); }
@@ -213,16 +291,21 @@ public:
 
 private:
   struct KSwitchKey {
-    /// B[i] and A[i] hold, for digit i, one N-word NTT polynomial per
-    /// modulus (ChainLen chain primes then the special prime).
+    /// Highest ciphertext level the key serves.
+    int Level = -1;
+    /// B[d] and A[d] hold, for each digit d active at Level, one N-word
+    /// NTT polynomial per key row: chain primes q_0..q_Level, then the
+    /// special primes.
     std::vector<std::vector<uint64_t>> B, A;
   };
 
+  /// Global modulus index: chain primes 0..ChainLen-1, then the special
+  /// primes ChainLen..ChainLen+SpecialLen-1.
   const Modulus &modAt(size_t J) const {
-    return J < ChainLen ? ChainMods[J] : SpecialMod;
+    return J < ChainLen ? ChainMods[J] : SpecialMods[J - ChainLen];
   }
   const NttTables &nttAt(size_t J) const {
-    return J < ChainLen ? *ChainNtt[J] : *SpecialNtt;
+    return J < ChainLen ? *ChainNtt[J] : *SpecialNtt[J - ChainLen];
   }
 
   std::vector<int8_t> sampleTernaryCoeffs();
@@ -234,34 +317,72 @@ private:
   std::vector<uint64_t> smallToNtt(const std::vector<int64_t> &Coeffs,
                                    size_t J) const;
   std::vector<uint64_t> uniformNtt(size_t J);
+  void uniformNttInto(size_t J, uint64_t *Out);
 
-  /// Builds a key-switching key for \p Target (NTT form, one polynomial
-  /// per modulus including the special prime).
-  KSwitchKey makeKSwitchKey(const std::vector<std::vector<uint64_t>> &Target);
+  /// Global modulus index of row \p Row of a key at \p Level.
+  size_t keyRowModulus(size_t Row, int Level) const {
+    size_t Chain = size_t(Level) + 1;
+    return Row < Chain ? Row : ChainLen + (Row - Chain);
+  }
+  /// First chain prime of digit \p D / last chain prime + 1.
+  size_t digitBegin(size_t D) const { return DigitBounds[D]; }
+  size_t digitEnd(size_t D) const { return DigitBounds[D + 1]; }
+  size_t activeDigits(int Level) const {
+    return DigitOf[size_t(Level)] + 1;
+  }
 
-  /// Key-switches the coefficient-form polynomial whose per-prime digits
-  /// are the flat array Digits (Level+1 digits of Degree words each);
-  /// writes NTT-form results into OutB/OutA ((Level+1) * N words each).
-  void keySwitch(const uint64_t *Digits, int Level, const KSwitchKey &Key,
-                 LimbBuffer &OutB, LimbBuffer &OutA) const;
+  /// Builds a key-switching key for the target polynomial \p Target
+  /// given in NTT form per global modulus index (only the rows of a key
+  /// at \p Level are read).
+  KSwitchKey makeKSwitchKey(const std::vector<std::vector<uint64_t>> &Target,
+                            int Level);
+  /// Galois key for element \p Elt at \p Level (target sigma_Elt(s)).
+  KSwitchKey makeGaloisKey(uint64_t Elt, int Level);
 
-  /// Galois-twisted key switch: like keySwitch, but applies sigma_Elt to
-  /// each digit after reduction into the output modulus and before the
-  /// forward NTT. Taking the *unrotated* digits keeps the per-modulus
-  /// lift identical to what rotLeftMany's hoisted base uses, so the two
-  /// rotation paths produce bit-identical ciphertexts.
-  void keySwitchGalois(const uint64_t *Digits, int Level, uint64_t Elt,
-                       const KSwitchKey &Key, LimbBuffer &OutB,
-                       LimbBuffer &OutA) const;
+  /// The ModUp output of one polynomial at \p Level: for every active
+  /// digit, one NTT-form limb per modulus of Q_l * P (chain rows 0..l,
+  /// then the special primes). Rows inside the digit's own primes point
+  /// at the caller's NTT-form input; the rest live in Storage.
+  struct ExtendedBasis {
+    int Level = 0;
+    size_t Digits = 0;
+    size_t Rows = 0; ///< Level + 1 + SpecialLen.
+    std::vector<const uint64_t *> Row; ///< [Digit * Rows + Row].
+    LimbBuffer Storage;
+    const uint64_t *at(size_t D, size_t R) const { return Row[D * Rows + R]; }
+  };
 
-  /// Divides two accumulated (chain + special) values by the special
-  /// prime with rounding, in one fused pass over the chain moduli: both
-  /// correction polynomials share each prime's reduction/NTT loop so the
-  /// arena stays in cache and the parallelFor overhead is paid once.
-  /// All four arrays are NTT form; B/A chains hold (Level+1) * N words.
-  void divideBySpecialPair(uint64_t *BChain, uint64_t *BSpecial,
-                           uint64_t *AChain, uint64_t *ASpecial,
-                           int Level) const;
+  /// ModUp: \p Ntt is the polynomial's NTT form and \p Coeff its
+  /// coefficient form (both (Level+1) * N words); \p Coeff is consumed as
+  /// scratch. \p Ntt must outlive the returned basis.
+  ExtendedBasis modUp(const uint64_t *Ntt, uint64_t *Coeff, int Level) const;
+
+  /// One key-switch job over a shared extended basis: the key, the
+  /// optional NTT-domain Galois permutation applied to the basis, and
+  /// the (Level+1) * N word chain outputs.
+  struct KeySwitchJob {
+    const KSwitchKey *Key = nullptr;
+    const std::vector<uint32_t> *Perm = nullptr;
+    uint64_t *OutB = nullptr;
+    uint64_t *OutA = nullptr;
+  };
+
+  /// Inner products of \p Ext with every job's key (in parallel over
+  /// (job, modulus) pairs) followed by each job's ModDown. Results are
+  /// bit-identical at any thread count: every output element is the
+  /// canonical residue of the same sum.
+  void keySwitchJobs(const ExtendedBasis &Ext,
+                     const std::vector<KeySwitchJob> &Jobs) const;
+
+  /// ModDown of two accumulated values: divides the chain parts by P in
+  /// place, subtracting the exact centred representative of each value
+  /// modulo P (held in the SpecialLen-limb NTT-form tails, consumed).
+  void modDownPair(uint64_t *BChain, uint64_t *BSpecial, uint64_t *AChain,
+                   uint64_t *ASpecial, int Level) const;
+
+  /// Throws MissingRotationKey unless \p Key serves \p Level. \p Steps
+  /// names the rotation the key is for; 0 means the relinearization key.
+  void requireKeyLevel(const KSwitchKey &Key, int Level, int Steps) const;
 
   /// Drops the last active prime of \p C, dividing by it (one rescale
   /// step).
@@ -270,7 +391,10 @@ private:
   /// Reduces \p C in place to \p Level by discarding RNS components.
   void modSwitchTo(Ct &C, int Level) const;
 
-  void rotateByElement(Ct &C, uint64_t Elt, const KSwitchKey &Key);
+  /// Rotates \p C by the Galois element whose key and NTT-domain
+  /// permutation are given.
+  void rotateByElement(Ct &C, const KSwitchKey &Key,
+                       const std::vector<uint32_t> &Perm);
 
   /// Returns P's NTT representation modulo chain prime \p J, computing and
   /// caching it on first use.
@@ -281,16 +405,21 @@ private:
   RnsCkksParams Params;
   int LogN;
   size_t Degree;
-  size_t ChainLen; ///< Number of chain primes (levels + 1).
+  size_t ChainLen;   ///< Number of chain primes (levels + 1).
+  size_t SpecialLen; ///< Number of special primes k.
   std::vector<Modulus> ChainMods;
-  Modulus SpecialMod;
+  std::vector<Modulus> SpecialMods;
   std::vector<std::unique_ptr<NttTables>> ChainNtt;
-  std::unique_ptr<NttTables> SpecialNtt;
+  std::vector<std::unique_ptr<NttTables>> SpecialNtt;
+  /// Normalized digit boundaries (dnum + 1 entries) and the digit of
+  /// every chain prime.
+  std::vector<uint32_t> DigitBounds;
+  std::vector<uint32_t> DigitOf;
   CkksEncoder Encoder;
   Prng Rng;
 
   std::vector<int8_t> SecretTernary;          ///< s in coefficient form.
-  std::vector<std::vector<uint64_t>> SecretNtt; ///< s per modulus, NTT.
+  std::vector<std::vector<uint64_t>> SecretNtt; ///< s per global modulus.
   std::vector<std::vector<uint64_t>> PkB, PkA;  ///< per chain prime, NTT.
   KSwitchKey RelinKey;
   std::map<uint64_t, KSwitchKey> GaloisKeys; ///< keyed by Galois element.
@@ -312,8 +441,24 @@ private:
   mutable std::unique_ptr<KsCounters> KsStats =
       std::make_unique<KsCounters>();
 
-  std::vector<uint64_t> SpecialInvModChain;      ///< p^{-1} mod q_j.
-  std::vector<uint64_t> SpecialModChain;         ///< p mod q_j.
+  /// Fast base conversion constants of one digit slice
+  /// [Begin, End) of the chain: HatInv[i] = (Q'/q_i)^{-1} mod q_i and
+  /// HatMod[i * Moduli + m] = (Q'/q_i) mod modulus m (global index),
+  /// where Q' is the product of the slice's primes.
+  struct ModUpSlice {
+    size_t Begin = 0, End = 0;
+    std::vector<uint64_t> HatInv, HatInvShoup;
+    std::vector<uint64_t> HatMod;
+  };
+  /// Indexed by the slice's last prime l: the primes of l's digit up to
+  /// q_l. A full digit d is SliceByTop[digitEnd(d) - 1].
+  std::vector<ModUpSlice> SliceByTop;
+  /// ModDown constants: (P/p_s)^{-1} mod p_s, (P/p_s) mod q_j at
+  /// [s * ChainLen + j], P mod q_j and P^{-1} mod q_j.
+  std::vector<uint64_t> PHatInvModP;
+  std::vector<uint64_t> PHatModChain;
+  std::vector<uint64_t> PModChain;
+  std::vector<uint64_t> PInvModChain;
   mutable std::vector<std::unique_ptr<CrtBasis>> CrtByLevel;
   /// Guards the lazy CrtByLevel fill. Heap-held so the backend stays
   /// movable (factories return it by value).

@@ -15,7 +15,7 @@ using namespace chet;
 
 namespace {
 
-constexpr uint32_t kRnsParamsTag = 0x43503152; // "R1PC"
+constexpr uint32_t kRnsParamsTag = 0x43503252; // "R2PC"
 constexpr uint32_t kRnsCtTag = 0x43543152;     // "R1TC"
 constexpr uint32_t kBigParamsTag = 0x43503142;  // "B1PC"
 constexpr uint32_t kBigCtTag = 0x43543142;      // "B1TC"
@@ -29,6 +29,10 @@ public:
   void u64s(const std::vector<uint64_t> &V) {
     u64(V.size());
     raw(V.data(), V.size() * sizeof(uint64_t));
+  }
+  void u32s(const std::vector<uint32_t> &V) {
+    u64(V.size());
+    raw(V.data(), V.size() * sizeof(uint32_t));
   }
   ByteBuffer take() { return std::move(Bytes); }
 
@@ -59,6 +63,14 @@ public:
     V.resize(Count);
     return raw(V.data(), Count * sizeof(uint64_t));
   }
+  bool u32s(std::vector<uint32_t> &V, uint64_t MaxCount) {
+    uint64_t Count = 0;
+    if (!u64(Count) || Count > MaxCount ||
+        Count * sizeof(uint32_t) > remaining())
+      return false;
+    V.resize(Count);
+    return raw(V.data(), Count * sizeof(uint32_t));
+  }
   size_t remaining() const { return Bytes.size() - Pos; }
   bool done() const { return Pos == Bytes.size(); }
 
@@ -68,7 +80,8 @@ private:
     // against the remaining byte count cannot wrap.
     if (Len > Bytes.size() - Pos)
       return false;
-    std::memcpy(Data, Bytes.data() + Pos, Len);
+    if (Len > 0) // an empty vector's data() may be null
+      std::memcpy(Data, Bytes.data() + Pos, Len);
     Pos += Len;
     return true;
   }
@@ -87,7 +100,8 @@ ByteBuffer chet::serialize(const RnsCkksParams &Params) {
   W.u32(kRnsParamsTag);
   W.i32(Params.LogN);
   W.u64s(Params.ChainPrimes);
-  W.u64(Params.SpecialPrime);
+  W.u64s(Params.SpecialPrimes);
+  W.u32s(Params.DigitBounds);
   W.i32(static_cast<int32_t>(Params.Security));
   W.u64(Params.Seed);
   W.i32(Params.StockPow2Keys);
@@ -102,10 +116,15 @@ bool chet::deserialize(const ByteBuffer &Bytes, RnsCkksParams &Params) {
     return false;
   if (!R.i32(Params.LogN) || Params.LogN < 2 || Params.LogN > 17)
     return false;
-  if (!R.u64s(Params.ChainPrimes, /*MaxCount=*/256))
+  if (!R.u64s(Params.ChainPrimes, /*MaxCount=*/256) ||
+      !R.u64s(Params.SpecialPrimes, /*MaxCount=*/256) ||
+      !R.u32s(Params.DigitBounds, /*MaxCount=*/257))
     return false;
-  if (!R.u64(Params.SpecialPrime) || !R.i32(Security) ||
-      !R.u64(Params.Seed) || !R.i32(Stock) || !R.done())
+  if (!R.i32(Security) || !R.u64(Params.Seed) || !R.i32(Stock) || !R.done())
+    return false;
+  // Special primes disjoint from the chain, digits covering it in order
+  // with none empty.
+  if (!Params.keySwitchLayoutError().empty())
     return false;
   Params.Security = static_cast<SecurityLevel>(Security);
   Params.StockPow2Keys = Stock != 0;

@@ -9,6 +9,7 @@
 #include "hisa/Hisa.h"
 #include "support/Error.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -42,6 +43,13 @@ double AnalysisBackend::modulusState(const Ct &C) const {
   return LogQ < 30 ? 30 : LogQ;
 }
 
+void AnalysisBackend::noteRotation(const Ct &C, int Step) {
+  RotationSteps.insert(Step);
+  auto [It, New] = RotationLevels.emplace(Step, levelOf(C));
+  if (!New)
+    It->second = std::max(It->second, levelOf(C));
+}
+
 void AnalysisBackend::trackScale(const Ct &C) {
   double L = std::log2(C.Scale);
   if (L > MaxLogScale)
@@ -71,7 +79,7 @@ void AnalysisBackend::rotLeftAssign(Ct &C, int Steps) {
     S += Slots;
   if (S == 0)
     return;
-  RotationSteps.insert(static_cast<int>(S));
+  noteRotation(C, static_cast<int>(S));
   int Hops = 1;
   if (!Config.SelectedRotationKeys) {
     // Power-of-two fallback: one hop per set bit of the shorter
@@ -108,7 +116,7 @@ AnalysisBackend::rotLeftMany(const Ct &C, const std::vector<int> &Steps) {
       rotLeftAssign(Tmp, Raw);
       continue;
     }
-    RotationSteps.insert(static_cast<int>(S));
+    noteRotation(C, static_cast<int>(S));
     ++NonZero;
   }
   if (NonZero > 0) {
@@ -157,6 +165,7 @@ void AnalysisBackend::mulAssign(Ct &C, const Ct &Other) {
     C.LogConsumed = Other.LogConsumed;
   C.Scale *= Other.Scale;
   trackScale(C);
+  MulLevel = std::max(MulLevel, levelOf(C));
   charge("mul", Config.Cost ? Config.Cost->mulCipher(modulusState(C)) : 0);
 }
 

@@ -25,7 +25,10 @@
 ///     during re-interpretation, so shared subcircuits are not
 ///     double-counted);
 ///   - rotation-key selection: the set of distinct (normalized) rotation
-///     step counts is collected.
+///     step counts is collected, each with the highest level it is used
+///     at, together with the highest level of any ciphertext multiply --
+///     the levels the level-aware Galois and relinearization keys are
+///     generated to.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -132,6 +135,12 @@ public:
   double maxLogScale() const { return MaxLogScale; }
   /// Distinct normalized rotation steps used (Section 5.4).
   const std::set<int> &rotationSteps() const { return RotationSteps; }
+  /// Phase 2, RNS: the highest ciphertext level each rotation step is
+  /// used at (keys of rotationSteps()).
+  const std::map<int, int> &rotationLevels() const { return RotationLevels; }
+  /// Phase 2, RNS: the highest level of any ciphertext multiply (-1 when
+  /// the circuit has none).
+  int mulLevel() const { return MulLevel; }
   /// Estimated execution cost (only meaningful with a cost model).
   double totalCost() const { return TotalCost; }
   /// Executed-instruction histogram, keyed by instruction name.
@@ -144,6 +153,11 @@ private:
   /// r (RNS) or remaining logQ (CKKS) of a ciphertext, for cost pricing.
   double modulusState(const Ct &C) const;
   void trackScale(const Ct &C);
+  /// Phase 2, RNS: the level of \p C in the selected chain.
+  int levelOf(const Ct &C) const {
+    return Config.TotalChainPrimes - 1 - C.ConsumedPrimes;
+  }
+  void noteRotation(const Ct &C, int Step);
 
   AnalysisConfig Config;
   size_t Slots;
@@ -152,6 +166,8 @@ private:
   double MaxLogConsumed = 0;
   double MaxLogScale = 0;
   std::set<int> RotationSteps;
+  std::map<int, int> RotationLevels;
+  int MulLevel = -1;
   double TotalCost = 0;
   std::map<std::string, uint64_t> OpCounts;
 };

@@ -43,7 +43,26 @@ struct PolicyRun {
   int ExtraPrimes = 0;
   double LogConsumed = 0;
   bool Feasible = true;
+  /// RNS: the chain and key-switching layout this policy compiles to.
+  RnsCkksParams Rns;
+  std::map<int, int> RotationLevels;
+  int MulLevel = -1;
 };
+
+/// The compiled RNS chain: base prime, then the reserve primes, then the
+/// consumed candidates in reverse -- the backend rescales from the
+/// chain's tail, so it consumes candidates in exactly the order the
+/// analysis did.
+std::vector<uint64_t> compiledChain(uint64_t FirstPrime,
+                                    const std::vector<uint64_t> &Candidates,
+                                    int Consumed, int Extra) {
+  std::vector<uint64_t> Chain = {FirstPrime};
+  for (int I = 0; I < Extra; ++I)
+    Chain.push_back(Candidates[Consumed + I]);
+  for (int I = Consumed - 1; I >= 0; --I)
+    Chain.push_back(Candidates[I]);
+  return Chain;
+}
 
 /// Runs the modulus analysis (phase 1) and the cost analysis (phase 2)
 /// for one layout policy, iterating the ring dimension to a fixpoint
@@ -51,6 +70,7 @@ struct PolicyRun {
 /// interdependence discussed in Section 3.1).
 PolicyRun analyzePolicy(const TensorCircuit &Circ,
                         const CompilerOptions &Options, LayoutPolicy Policy,
+                        uint64_t FirstPrime,
                         const std::vector<uint64_t> &ScaleCandidates) {
   PolicyRun Run;
   Run.Info.Policy = Policy;
@@ -135,10 +155,29 @@ PolicyRun analyzePolicy(const TensorCircuit &Circ,
     LogN = NewLogN; // slot-dependent choices change; re-analyze
   }
 
+  // Key-switching layout: N and the chain are fixed; spend the rest of
+  // the security budget on the special modulus, taking the fewest digits
+  // whose just-large-enough P still fits.
+  KeySwitchLayout Layout;
+  if (Options.Scheme == SchemeKind::RnsCkks) {
+    Run.Rns.ChainPrimes = compiledChain(FirstPrime, ScaleCandidates,
+                                        Run.ConsumedPrimes, Run.ExtraPrimes);
+    if (!Run.Rns.selectKeySwitchLayout(
+            maxLogQForSecurity(LogN, Options.Security),
+            Options.FirstPrimeBits))
+      Run.Rns.SpecialPrimes = {
+          RnsCkksParams::candidateSpecial(Options.FirstPrimeBits)};
+    Layout = Run.Rns.keySwitchLayout();
+    LogQP = Run.Rns.logQP();
+    Run.Info.KsDigits = static_cast<int>(Run.Rns.digitCount());
+    Run.Info.KsSpecialPrimes = static_cast<int>(Layout.SpecialPrimes);
+  }
+
   // Phase 2: cost + rotation-set analysis at the chosen dimension.
   CostModel Model = CostModel::create(
       Options.Scheme, LogN,
-      Options.Scheme == SchemeKind::BigCkks ? LogQ : 0);
+      Options.Scheme == SchemeKind::BigCkks ? LogQ : 0, std::move(Layout),
+      Run.Rns.ChainPrimes);
   AnalysisConfig C2;
   C2.Scheme = Options.Scheme;
   C2.LogN = LogN;
@@ -159,6 +198,8 @@ PolicyRun analyzePolicy(const TensorCircuit &Circ,
   Run.Info.ChainPrimes = ChainPrimes;
   Run.Info.EstimatedCost = B2.totalCost();
   Run.Info.RotationSteps = B2.rotationSteps();
+  Run.RotationLevels = B2.rotationLevels();
+  Run.MulLevel = B2.mulLevel();
   return Run;
 }
 
@@ -194,7 +235,7 @@ CompiledCircuit chet::compileCircuit(const TensorCircuit &Circ,
   std::optional<PolicyRun> Best;
   for (LayoutPolicy Policy : Policies) {
     PolicyRun Run =
-        analyzePolicy(Circ, Options, Policy, ScaleCandidates);
+        analyzePolicy(Circ, Options, Policy, FirstPrime, ScaleCandidates);
     Result.PerPolicy.push_back(Run.Info);
     if (!Run.Feasible)
       continue;
@@ -220,22 +261,16 @@ CompiledCircuit chet::compileCircuit(const TensorCircuit &Circ,
                                Best->Info.RotationSteps.end());
 
   if (Options.Scheme == SchemeKind::RnsCkks) {
-    RnsCkksParams P;
+    RnsCkksParams P = Best->Rns;
     P.LogN = Result.LogN;
-    // Chain layout: base prime, then the reserve primes, then the
-    // consumed candidates in reverse -- the backend rescales from the
-    // chain's tail, so it consumes candidates in exactly the order the
-    // analysis did.
-    P.ChainPrimes.push_back(FirstPrime);
-    for (int I = 0; I < Best->ExtraPrimes; ++I)
-      P.ChainPrimes.push_back(ScaleCandidates[Best->ConsumedPrimes + I]);
-    for (int I = Best->ConsumedPrimes - 1; I >= 0; --I)
-      P.ChainPrimes.push_back(ScaleCandidates[I]);
-    P.SpecialPrime =
-        RnsCkksParams::candidateSpecial(Options.FirstPrimeBits);
     P.Security = Options.Security;
     P.StockPow2Keys = !Options.SelectRotationKeys;
     Result.Rns = std::move(P);
+    if (Options.SelectRotationKeys)
+      Result.RotationKeyLevels = Best->RotationLevels;
+    // A circuit without ciphertext multiplies still gets the smallest
+    // relinearization key rather than none.
+    Result.RelinKeyLevel = std::max(0, Best->MulLevel);
   } else {
     BigCkksParams P;
     P.LogN = Result.LogN;
@@ -283,9 +318,18 @@ RnsCkksBackend chet::makeRnsBackend(const CompiledCircuit &Compiled,
              "compiled circuit does not target RNS-CKKS");
   RnsCkksParams P = *Compiled.Rns;
   P.Seed = Seed;
-  RnsCkksBackend Backend(P);
-  if (!Compiled.RotationKeys.empty())
-    Backend.generateRotationKeys(Compiled.RotationKeys);
+  RnsCkksBackend Backend(P, Compiled.RelinKeyLevel);
+  if (!Compiled.RotationKeys.empty()) {
+    std::vector<int> Levels;
+    if (!Compiled.RotationKeyLevels.empty())
+      for (int Step : Compiled.RotationKeys) {
+        auto It = Compiled.RotationKeyLevels.find(Step);
+        Levels.push_back(It != Compiled.RotationKeyLevels.end()
+                             ? It->second
+                             : Backend.maxLevel());
+      }
+    Backend.generateRotationKeys(Compiled.RotationKeys, Levels);
+  }
   return Backend;
 }
 

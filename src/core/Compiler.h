@@ -15,7 +15,9 @@
 ///      parameters (ring dimension N from the security table, the modulus
 ///      chain / log Q from the modulus the circuit consumes plus the
 ///      desired output precision),
-///   3. selects the exact rotation-key set (Section 5.4),
+///   3. selects the exact rotation-key set (Section 5.4), the level each
+///      key is generated to, and the RNS key-switching layout (the digit
+///      count and special primes that fit the security budget),
 ///   4. optionally tunes the four fixed-point scales by profile-guided
 ///      search against the unencrypted reference (Section 5.5).
 ///
@@ -36,6 +38,7 @@
 #include "core/Ir.h"
 #include "support/Error.h"
 
+#include <map>
 #include <optional>
 #include <set>
 
@@ -115,6 +118,10 @@ struct PolicyAnalysis {
   double LogQ = 0;
   double LogQP = 0;
   int ChainPrimes = 0; ///< RNS only.
+  /// RNS only: key-switching digits and special primes of the layout
+  /// chosen for this policy's chain.
+  int KsDigits = 0;
+  int KsSpecialPrimes = 0;
   double EstimatedCost = 0;
   std::set<int> RotationSteps;
 };
@@ -157,6 +164,11 @@ struct FootprintSummary {
   uint64_t PeakScratchBytes = 0; ///< Pooled-scratch share of the peak.
   uint64_t InputBytes = 0;      ///< Encrypted input (live throughout).
   uint64_t OutputBytes = 0;     ///< Encrypted output.
+  /// Key material makeRnsBackend generates for this artifact (secret,
+  /// public, relinearization and level-aware Galois keys); resident for
+  /// the backend's lifetime, so it is reported beside the per-inference
+  /// PeakBytes rather than inside it. Zero for big-CKKS (not modeled).
+  uint64_t KeyBytes = 0;
 };
 
 /// The compiler's output artifact.
@@ -172,6 +184,13 @@ struct CompiledCircuit {
   std::optional<BigCkksParams> Big;
   /// Rotation steps to generate keys for (empty: power-of-two default).
   std::vector<int> RotationKeys;
+  /// RNS: the highest ciphertext level each selected rotation step is
+  /// used at; makeRnsBackend generates its Galois key only up to there.
+  /// Steps missing from the map get full-level keys.
+  std::map<int, int> RotationKeyLevels;
+  /// RNS: the highest level of any ciphertext multiply, the level the
+  /// relinearization key is generated to (-1: full level).
+  int RelinKeyLevel = -1;
   /// The full four-policy analysis for reporting.
   std::vector<PolicyAnalysis> PerPolicy;
   /// Non-fatal findings of the post-compile verification pass (empty
@@ -191,8 +210,8 @@ CompiledCircuit compileCircuit(const TensorCircuit &Circ,
                                const CompilerOptions &Options);
 
 /// Instantiates the scheme backend a CompiledCircuit prescribes and
-/// generates its selected rotation keys. Exactly one of these matches
-/// Compiled.Scheme.
+/// generates its selected rotation keys (RNS: each truncated to its
+/// recorded level). Exactly one of these matches Compiled.Scheme.
 RnsCkksBackend makeRnsBackend(const CompiledCircuit &Compiled,
                               uint64_t Seed = 0x5ea1);
 BigCkksBackend makeBigBackend(const CompiledCircuit &Compiled,

@@ -6,6 +6,8 @@
 
 #include "core/CostModel.h"
 
+#include "math/UIntArith.h"
+
 #include <cmath>
 
 using namespace chet;
@@ -19,6 +21,10 @@ constexpr double RnsAddPerElem = 1.2;
 constexpr double RnsMulScalarPerElem = 2.0;
 constexpr double RnsMulPlainPerElem = 4.5;
 constexpr double RnsNttButterfly = 2.4;
+// A transform over a prime below 2^30 runs in the packed 32-bit NTT
+// domain at 2.0-2.2x the throughput of a wide one (bench_kernels,
+// BENCH_kernels.json), so key switching prices it at half.
+constexpr double RnsNarrowTransformWeight = 0.5;
 constexpr double RnsEncode = 55.0; // per slot-ish: FFT + rounding
 
 // Big-CKKS: BigInt limb arithmetic and RNS bridging.
@@ -28,12 +34,22 @@ constexpr double BigCrtPerPrimeLimb = 1.6;
 constexpr double BigEncode = 55.0;
 } // namespace
 
-CostModel CostModel::create(SchemeKind Scheme, int LogN, double LogQP) {
+CostModel CostModel::create(SchemeKind Scheme, int LogN, double LogQP,
+                            KeySwitchLayout Layout,
+                            const std::vector<uint64_t> &ChainPrimes) {
   CostModel M;
   M.Scheme = Scheme;
   M.LogN = LogN;
   M.N = std::ldexp(1.0, LogN);
   M.LogQP = LogQP;
+  M.Layout = std::move(Layout);
+  if (!ChainPrimes.empty()) {
+    M.ChainWeightPrefix.push_back(0);
+    for (uint64_t Q : ChainPrimes)
+      M.ChainWeightPrefix.push_back(
+          M.ChainWeightPrefix.back() +
+          (isNarrowModulus(Q) ? RnsNarrowTransformWeight : 1.0));
+  }
   return M;
 }
 
@@ -62,9 +78,14 @@ double CostModel::mulPlain(double ModulusState) const {
 
 double CostModel::mulCipher(double ModulusState) const {
   if (Scheme == SchemeKind::RnsCkks) {
-    // Key switching: ~(r+1)(r+2) NTTs of size N.
+    // Key switching runs d + 2 NTTs of size N per active modulus: one
+    // inverse (chain) or ModDown inverse (special), d - 1 (chain) or d
+    // (special) ModUp forward transforms, and two ModDown forward ones
+    // (chain) -- (r+k)(d+2) in all, (r+1)(r+2) for the per-prime layout,
+    // each weighted by its prime's width.
     double R = ModulusState;
-    return RnsNttButterfly * N * LogN * (R + 1) * (R + 2) +
+    return RnsNttButterfly * N * LogN * (ksChainWeight(R) + ksSpecial()) *
+               (ksDigits(R) + 2) +
            RnsMulPlainPerElem * 4 * N * R;
   }
   // Tensor products at np ~ (2 logQ)/59 plus a key switch at
@@ -79,7 +100,8 @@ double CostModel::mulCipher(double ModulusState) const {
 double CostModel::rotate(double ModulusState) const {
   if (Scheme == SchemeKind::RnsCkks) {
     double R = ModulusState;
-    return RnsNttButterfly * N * LogN * (R + 1) * (R + 2) +
+    return RnsNttButterfly * N * LogN * (ksChainWeight(R) + ksSpecial()) *
+               (ksDigits(R) + 2) +
            RnsAddPerElem * 6 * N * R;
   }
   double NpKs = (ModulusState + LogQP) / 59.0 + 1;
@@ -90,12 +112,11 @@ double CostModel::rotate(double ModulusState) const {
 
 double CostModel::rotateHoistShared(double ModulusState) const {
   if (Scheme == SchemeKind::RnsCkks) {
-    // Decompose once: (r+1) inverse NTTs of the input plus (r+1)^2
-    // forward NTTs materializing every digit in every output modulus --
-    // the same (r+1)(r+2) transforms a single naive rotation spends on
-    // its key switch.
+    // ModUp once: d of the (d + 2) transforms per active modulus a key
+    // switch runs.
     double R = ModulusState;
-    return RnsNttButterfly * N * LogN * (R + 1) * (R + 2);
+    return RnsNttButterfly * N * LogN * (ksChainWeight(R) + ksSpecial()) *
+           ksDigits(R);
   }
   // One decomposeNtt of c1 at np ~ (logQ + logQP)/59 primes.
   double NpKs = (ModulusState + LogQP) / 59.0 + 1;
@@ -107,11 +128,11 @@ double CostModel::rotateHoistShared(double ModulusState) const {
 
 double CostModel::rotateHoistPerAmount(double ModulusState) const {
   if (Scheme == SchemeKind::RnsCkks) {
-    // Permuting the shared NTT-domain base costs no transforms; the
-    // special-modulus division is ~2(r+2) transforms per amount, plus
-    // the key inner product's elementwise multiply-accumulates.
+    // Permuting the shared NTT-domain base costs no transforms; each
+    // amount runs its own ModDown (the other 2 transforms per active
+    // modulus) plus the key inner product's multiply-accumulates.
     double R = ModulusState;
-    return RnsNttButterfly * N * LogN * 2 * (R + 2) +
+    return RnsNttButterfly * N * LogN * 2 * (ksChainWeight(R) + ksSpecial()) +
            RnsAddPerElem * 6 * N * R;
   }
   // Pointwise key products plus two CRT reconstructions per amount
@@ -135,18 +156,48 @@ double CostModel::encode() const {
 
 NoiseModel NoiseModel::create(SchemeKind Scheme, int LogN,
                               const std::vector<uint64_t> &ChainPrimes,
-                              uint64_t SpecialPrime, double LogQ) {
+                              const std::vector<uint64_t> &SpecialPrimes,
+                              const std::vector<uint32_t> &DigitBounds,
+                              double LogQ) {
   NoiseModel M;
   M.N = std::ldexp(1.0, LogN);
   if (Scheme == SchemeKind::RnsCkks) {
-    // Hybrid key switching decomposes over the chain primes; each digit
-    // contributes q_i * e_i / P to the output noise.
+    // Hybrid key switching decomposes over the digits. ModUp's fast base
+    // conversion lifts digit j to sum_i t_i (Q_j/q_i) with t_i < q_i,
+    // an integer below |D_j| * Q_j, which contributes that magnitude
+    // times e_j / P to the output noise (q_i * e_i / P per prime for the
+    // per-prime layout).
+    // Wide digits and special moduli overflow a double (one digit over
+    // a 1,200-bit chain), so when any does the terms are formed in log
+    // space; otherwise the direct quotient keeps the per-prime value.
+    double P = SpecialPrimes.empty() ? std::ldexp(1.0, 60) : 1.0;
+    double LogP = SpecialPrimes.empty() ? 60.0 : 0.0;
+    for (uint64_t Sp : SpecialPrimes) {
+      P *= static_cast<double>(Sp);
+      LogP += std::log2(static_cast<double>(Sp));
+    }
+    struct DigitSize {
+      double Width, Q, LogQ;
+    };
+    std::vector<DigitSize> Sizes;
+    bool Direct = std::isfinite(P);
+    size_t Digits = DigitBounds.empty() ? ChainPrimes.size()
+                                        : DigitBounds.size() - 1;
+    for (size_t D = 0; D < Digits; ++D) {
+      size_t Begin = DigitBounds.empty() ? D : DigitBounds[D];
+      size_t End = DigitBounds.empty() ? D + 1 : DigitBounds[D + 1];
+      DigitSize S{static_cast<double>(End - Begin), 1.0, 0.0};
+      for (size_t I = Begin; I < End; ++I) {
+        S.Q *= static_cast<double>(ChainPrimes[I]);
+        S.LogQ += std::log2(static_cast<double>(ChainPrimes[I]));
+      }
+      Direct = Direct && std::isfinite(S.Q);
+      Sizes.push_back(S);
+    }
     double Sum = 0;
-    for (uint64_t Q : ChainPrimes)
-      Sum += static_cast<double>(Q);
-    double P = SpecialPrime ? static_cast<double>(SpecialPrime)
-                            : std::ldexp(1.0, 60);
-    M.KsDigitRatio = Sum / P;
+    for (const DigitSize &S : Sizes)
+      Sum += S.Width * (Direct ? S.Q : std::exp2(S.LogQ - LogP));
+    M.KsDigitRatio = Direct ? Sum / P : Sum;
   } else {
     // Big-CKKS key-switches against a key modulus as wide as Q itself;
     // with 60-bit digits the ratio sum_i 2^60 / 2^logQ is negligible for

@@ -18,6 +18,8 @@
 #ifndef CHET_CORE_COSTMODEL_H
 #define CHET_CORE_COSTMODEL_H
 
+#include "math/KeySwitchLayout.h"
+
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -43,8 +45,14 @@ class CostModel {
 public:
   /// Returns the model for \p Scheme at ring dimension 2^\p LogN, with
   /// constants measured once on the development machine. logQP is the
-  /// key-switching modulus width used by big-CKKS key switches.
-  static CostModel create(SchemeKind Scheme, int LogN, double LogQP = 0);
+  /// key-switching modulus width used by big-CKKS key switches; \p Layout
+  /// is the RNS key-switching digit layout (default: one digit per chain
+  /// prime under one special prime) and \p ChainPrimes the chain it
+  /// groups, which prices each key-switch transform by its prime's width
+  /// (default: every transform at the wide-prime cost).
+  static CostModel create(SchemeKind Scheme, int LogN, double LogQP = 0,
+                          KeySwitchLayout Layout = {},
+                          const std::vector<uint64_t> &ChainPrimes = {});
 
   double add(double ModulusState) const;
   double mulScalar(double ModulusState) const;
@@ -63,10 +71,28 @@ public:
   SchemeKind scheme() const { return Scheme; }
 
 private:
+  /// RNS: active digits d and special primes k of a key switch at r
+  /// active chain primes.
+  double ksDigits(double R) const {
+    return static_cast<double>(Layout.activeDigits(static_cast<size_t>(R)));
+  }
+  double ksSpecial() const {
+    return static_cast<double>(Layout.SpecialPrimes);
+  }
+  /// RNS: the summed transform weight of the first r chain primes (r
+  /// when the chain is unknown).
+  double ksChainWeight(double R) const {
+    size_t I = static_cast<size_t>(R);
+    return I < ChainWeightPrefix.size() ? ChainWeightPrefix[I] : R;
+  }
+
   SchemeKind Scheme = SchemeKind::RnsCkks;
   double N = 0;
   double LogN = 0;
   double LogQP = 0;
+  KeySwitchLayout Layout;
+  /// Prefix sums of per-chain-prime transform weights.
+  std::vector<double> ChainWeightPrefix;
 };
 
 /// Worst-case CKKS noise constants for the static range/noise analysis
@@ -89,14 +115,19 @@ struct NoiseModel {
   double N = 8192;           ///< ring dimension 2^LogN
   double Sigma = 3.2;        ///< error stddev (Prng::nextCenteredGaussian)
   double Safety = 10.0;      ///< high-probability tail multiplier
-  double KsDigitRatio = 0.0; ///< sum_i q_i / P over key-switch digits
+  double KsDigitRatio = 0.0; ///< sum_j |D_j| Q_j / P over key-switch
+                             ///< digits of |D_j| primes
 
   /// Builds the model for \p Scheme at ring dimension 2^\p LogN.
-  /// \p ChainPrimes and \p SpecialPrime describe the RNS-CKKS modulus
-  /// chain; big-CKKS passes its modulus width \p LogQ instead.
+  /// \p ChainPrimes, \p SpecialPrimes and \p DigitBounds (empty: one
+  /// digit per chain prime) describe the RNS-CKKS modulus chain and its
+  /// key-switching layout; big-CKKS passes its modulus width \p LogQ
+  /// instead.
   static NoiseModel create(SchemeKind Scheme, int LogN,
                            const std::vector<uint64_t> &ChainPrimes,
-                           uint64_t SpecialPrime, double LogQ);
+                           const std::vector<uint64_t> &SpecialPrimes,
+                           const std::vector<uint32_t> &DigitBounds,
+                           double LogQ);
 
   /// Slot bound on the encode rounding polynomial (coefficients rounded
   /// to the nearest integer, uniform in [-1/2, 1/2]).
@@ -114,8 +145,9 @@ struct NoiseModel {
   }
 
   /// Slot bound on key-switch noise: the digit inner product
-  /// sum_i d_i*e_i / P plus the special-prime division rounding. Also
-  /// the relinearization bound (same key-switch structure over s^2).
+  /// sum_j d_j*e_j / P (each ModUp'd digit d_j is below |D_j| Q_j) plus
+  /// the ModDown rounding. Also the relinearization bound (same key-switch
+  /// structure over s^2).
   double keySwitchNoise() const {
     return Safety * Sigma * N / std::sqrt(12.0) * KsDigitRatio +
            rescaleNoise();

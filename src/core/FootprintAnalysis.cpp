@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <iomanip>
+#include <map>
 #include <sstream>
 
 using namespace chet;
@@ -30,9 +31,54 @@ FootprintBackendConfig configFor(const CompiledCircuit &Compiled,
     C.ScalePrimeCandidates.assign(Chain.rbegin(),
                                   Chain.rend() - (Chain.empty() ? 0 : 1));
     C.ChainLen = static_cast<int>(Chain.size());
+    C.KeySwitch = Compiled.Rns->keySwitchLayout();
   }
   C.Threads = Options.Threads;
   return C;
+}
+
+/// Key material makeRnsBackend generates for \p Compiled, word for word
+/// as RnsCkksBackend::keyBytes() counts it: the ternary secret, its NTT
+/// form over every chain and special prime, the public key, and each
+/// key-switching key -- d(l+1) digits of l+1+k limbs for both
+/// polynomials at its level l -- with an N-entry permutation table per
+/// Galois key.
+uint64_t rnsKeyBytes(const CompiledCircuit &Compiled) {
+  const RnsCkksParams &P = *Compiled.Rns;
+  const KeySwitchLayout Layout = P.keySwitchLayout();
+  const uint64_t N = uint64_t(1) << Compiled.LogN;
+  const int Top = P.levels();
+  const uint64_t Chain = P.ChainPrimes.size(), K = Layout.SpecialPrimes;
+  auto KeyWords = [&](int Level) {
+    uint64_t Limbs = uint64_t(Level) + 1;
+    return 2 * Layout.activeDigits(Limbs) * (Limbs + K) * N;
+  };
+  uint64_t Words = (Chain + K) * N + 2 * Chain * N;
+  Words += KeyWords(Compiled.RelinKeyLevel < 0 ? Top : Compiled.RelinKeyLevel);
+  // Galois keys by normalized step, at the highest level requested.
+  const int Slots = static_cast<int>(N / 2);
+  std::map<int, int> Galois;
+  auto Add = [&](int Step, int Level) {
+    int Norm = ((Step % Slots) + Slots) % Slots;
+    if (Norm == 0)
+      return;
+    auto [It, New] = Galois.emplace(Norm, Level);
+    if (!New)
+      It->second = std::max(It->second, Level);
+  };
+  if (P.StockPow2Keys)
+    for (int Step = 1; Step < Slots; Step <<= 1) {
+      Add(Step, Top);
+      Add(-Step, Top);
+    }
+  for (int Step : Compiled.RotationKeys) {
+    auto It = Compiled.RotationKeyLevels.find(Step);
+    Add(Step, It == Compiled.RotationKeyLevels.end() ? Top : It->second);
+  }
+  for (const auto &[Step, Level] : Galois)
+    Words += KeyWords(Level);
+  return N * sizeof(int8_t) + Galois.size() * N * sizeof(uint32_t) +
+         Words * sizeof(uint64_t);
 }
 
 uint64_t tensorBytes(const FootprintBackend &Backend,
@@ -69,6 +115,8 @@ std::string FootprintReport::str() const {
      << asMb(PeakScratchBytes) << " MB) at layer '" << PeakLabel
      << "' (node #" << PeakNodeId << "); input " << asMb(InputBytes)
      << " MB, output " << asMb(OutputBytes) << " MB";
+  if (KeyBytes)
+    OS << "; resident key material " << asMb(KeyBytes) << " MB";
   for (const FootprintNodeReport &Row : hotspots()) {
     OS << "\n  layer '" << Row.Label << "' (node #" << Row.NodeId
        << "): peak " << asMb(Row.PeakBytes) << " MB (live "
@@ -100,6 +148,8 @@ FootprintReport chet::analyzeFootprint(const TensorCircuit &Circ,
   FootprintReport Report;
   Report.Policy = Compiled.Policy;
   Report.InputBytes = tensorBytes(Backend, Enc);
+  if (Compiled.Rns)
+    Report.KeyBytes = rnsKeyBytes(Compiled);
 
   auto pushRow = [&](int NodeId, const std::string &Label, uint64_t Live,
                      const FootprintNodeStats &S) {

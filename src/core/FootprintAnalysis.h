@@ -73,14 +73,17 @@ struct FootprintReport {
   uint64_t PeakLiveCtBytes = 0;  ///< Live-ciphertext share at the peak.
   uint64_t PeakScratchBytes = 0; ///< Scratch share at the peak.
   int PeakNodeId = -1;           ///< Node owning the peak.
+  /// RNS: resident key material makeRnsBackend generates (reported
+  /// beside the per-inference peak, not inside it).
+  uint64_t KeyBytes = 0;
   std::string PeakLabel;
   std::vector<FootprintNodeReport> PerNode;
 
   /// The K layers with the largest peak bytes, worst first.
   std::vector<FootprintNodeReport> hotspots(size_t K = 3) const;
   FootprintSummary summary() const {
-    return {true,       PeakBytes,  PeakLiveCtBytes,
-            PeakScratchBytes, InputBytes, OutputBytes};
+    return {true,       PeakBytes,  PeakLiveCtBytes, PeakScratchBytes,
+            InputBytes, OutputBytes, KeyBytes};
   }
   std::string str() const;
 };

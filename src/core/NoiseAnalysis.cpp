@@ -143,9 +143,10 @@ RangeNoiseBackendConfig configFor(const CompiledCircuit &Compiled,
     C.ScalePrimeCandidates.assign(Chain.rbegin(),
                                   Chain.rend() - (Chain.empty() ? 0 : 1));
     C.Noise = NoiseModel::create(Compiled.Scheme, Compiled.LogN, Chain,
-                                 Compiled.Rns->SpecialPrime, Compiled.LogQ);
+                                 Compiled.Rns->SpecialPrimes,
+                                 Compiled.Rns->DigitBounds, Compiled.LogQ);
   } else {
-    C.Noise = NoiseModel::create(Compiled.Scheme, Compiled.LogN, {}, 0,
+    C.Noise = NoiseModel::create(Compiled.Scheme, Compiled.LogN, {}, {}, {},
                                  Compiled.LogQ);
   }
   C.WeightScale = Compiled.Scales.Weight;

@@ -95,6 +95,8 @@ VerifierBackendConfig configFor(const CompiledCircuit &Compiled,
     C.ScalePrimeCandidates.assign(Chain.rbegin(),
                                   Chain.rend() - (Chain.empty() ? 0 : 1));
     C.StockPow2Keys = Compiled.Rns->StockPow2Keys;
+    C.RotationKeyLevels = Compiled.RotationKeyLevels;
+    C.RelinKeyLevel = Compiled.RelinKeyLevel;
   } else if (Compiled.Big) {
     C.LogQBudget = Compiled.LogQ;
     C.StockPow2Keys = Compiled.Big->StockPow2Keys;

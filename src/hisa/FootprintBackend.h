@@ -19,8 +19,8 @@
 /// big-modulus scheme stores coefficients as fixed-capacity BigInts, so
 /// its ciphertexts are 2*N*sizeof(BigInt) at every level. Scratch is
 /// modeled per instruction class from the real backends' pooled
-/// allocations (key-switch digit decomposition is quadratic in the limb
-/// count; everything else is linear), multiplied by the configured
+/// allocations (a key switch holds its ModUp basis of d(K) digits times
+/// K + k moduli; everything else is linear), multiplied by the configured
 /// worst-case kernel concurrency and a safety factor that absorbs
 /// pool-bucket rounding. The model is intentionally generous: its
 /// contract, enforced by test_memory_governor and bench_memory, is to
@@ -38,6 +38,7 @@
 
 #include "hisa/Hisa.h"
 #include "math/BigInt.h"
+#include "math/KeySwitchLayout.h"
 
 #include <algorithm>
 #include <cmath>
@@ -59,6 +60,8 @@ struct FootprintBackendConfig {
   /// RNS: total primes in the compiled chain (fresh ciphertexts carry
   /// one limb per prime and shed them as rescales consume candidates).
   int ChainLen = 1;
+  /// RNS: the compiled key-switching digit layout.
+  KeySwitchLayout KeySwitch;
   /// Worst-case concurrent kernel lanes to model: each lane holds its
   /// own pooled scratch, so per-op scratch scales linearly with it.
   unsigned Threads = 8;
@@ -164,10 +167,16 @@ public:
   void rotRightAssign(Ct &C, int Steps) { rotLeftAssign(C, -Steps); }
 
   /// Hoisted fan-out: one shared decomposition, but all results are live
-  /// at once -- the dominant transient of rotation-heavy kernels.
+  /// at once -- the dominant transient of rotation-heavy kernels -- and
+  /// each amount holds its special-prime accumulator tails until its
+  /// ModDown.
   std::vector<Ct> rotLeftMany(const Ct &C, const std::vector<int> &Steps) {
+    uint64_t Tails = Config.Rns ? 2 * Config.KeySwitch.SpecialPrimes *
+                                      static_cast<uint64_t>(Degree) *
+                                      sizeof(uint64_t)
+                                : 0;
     noteOp(scratchWords(kKeySwitch, activeLimbs(C.ConsumedPrimes)),
-           (Steps.size() + 1) * ctBytes(C));
+           (Steps.size() + 1) * ctBytes(C) + Steps.size() * Tails);
     return std::vector<Ct>(Steps.size(), C);
   }
 
@@ -266,9 +275,10 @@ private:
   }
 
   /// Worst-case pooled scratch of one instruction, in words. K is the
-  /// active limb count. Key switching decomposes into up to K digits of
-  /// K+1 limbs each (quadratic); the other classes allocate a bounded
-  /// number of limb-vectors.
+  /// active limb count. A key switch holds its ModUp basis -- d(K)
+  /// active digits of K + k limbs -- beside the coefficient-form input,
+  /// the K-limb outputs and 2k special-prime tails; the other classes
+  /// allocate a bounded number of limb-vectors.
   uint64_t scratchWords(OpClass Class, uint64_t K) const {
     uint64_t N = Degree;
     switch (Class) {
@@ -276,8 +286,13 @@ private:
       return (K + 2) * N;
     case kMulPlain:
       return (2 * K + 6) * N;
-    case kKeySwitch:
-      return ((K + 2) * (K + 2) * 2 + 16) * N;
+    case kKeySwitch: {
+      if (!Config.Rns)
+        return ((K + 2) * (K + 2) * 2 + 16) * N;
+      uint64_t S = Config.KeySwitch.SpecialPrimes;
+      uint64_t D = Config.KeySwitch.activeDigits(K);
+      return ((D * (K + S) + 3 * K + 2 * S) * 2 + 16) * N;
+    }
     case kEncode:
       return (K + 8) * N;
     case kEncrypt:

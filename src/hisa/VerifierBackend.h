@@ -37,6 +37,8 @@
 #include "hisa/Hisa.h"
 #include "support/Error.h"
 
+#include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -63,6 +65,11 @@ struct VerifierBackendConfig {
   /// True when the backend holds the stock power-of-two key set (every
   /// rotation is servable by decomposition).
   bool StockPow2Keys = false;
+  /// RNS: the highest ciphertext level each selected Galois key is
+  /// generated to (steps missing from the map have full-level keys).
+  std::map<int, int> RotationKeyLevels;
+  /// RNS: the level the relinearization key is generated to (-1: full).
+  int RelinKeyLevel = -1;
   /// Relative tolerance of the addition scale check (AnalysisBackend's
   /// analysisScalesMatch uses 1e-6).
   double ScaleTolerance = 1e-6;
@@ -181,6 +188,8 @@ public:
                          " slots has no Galois key in the selected set ",
                          describeRotationSteps(Config.AvailableRotationSteps),
                          " and no power-of-two decomposition covers it"));
+    else
+      checkKeyLevel("rotLeftAssign", C, static_cast<int>(S));
     int Source = C.RotEvent;
     useValue(C);
     RotEvents.push_back({static_cast<int>(S), Source, 0, CurrentNode});
@@ -214,6 +223,8 @@ public:
                            " slots has no Galois key in the selected set ",
                            describeRotationSteps(Config.AvailableRotationSteps),
                            " and no power-of-two decomposition covers it"));
+      else
+        checkKeyLevel("rotLeftMany", C, static_cast<int>(S));
       int Source = C.RotEvent;
       useValue(C);
       RotEvents.push_back({static_cast<int>(S), Source, 0, CurrentNode});
@@ -249,6 +260,14 @@ public:
 
   void mulAssign(Ct &C, const Ct &Other) {
     int Depth = (C.MulDepth > Other.MulDepth ? C.MulDepth : Other.MulDepth) + 1;
+    int Level = std::min(levelOf(C), levelOf(Other));
+    if (Config.Rns && Config.RelinKeyLevel >= 0 &&
+        Level > Config.RelinKeyLevel)
+      record(Severity::Error, ErrorCode::MissingRotationKey, "mulAssign",
+             formatError("ciphertext multiply at level ", Level,
+                         " exceeds the relinearization key's generated "
+                         "level ",
+                         Config.RelinKeyLevel));
     consumeBinary(C, Other);
     C.MulDepth = Depth;
     C.Scale *= Other.Scale;
@@ -445,11 +464,48 @@ private:
     return "node #" + std::to_string(Node);
   }
 
-  bool rotationServable(int Step) const {
-    if (EffectiveKeys.count(Step))
-      return true;
-    // Power-of-two fallback over the shorter direction, exactly as the
-    // backends decompose (missingRotationSteps in Validate.cpp).
+  /// RNS: the level of \p C in the compiled chain.
+  int levelOf(const Ct &C) const {
+    return static_cast<int>(Config.ScalePrimeCandidates.size()) -
+           C.ConsumedPrimes;
+  }
+
+  /// Generated level of the key serving one (normalized) rotation step
+  /// or power-of-two hop; INT_MAX for full-level keys.
+  int keyLevel(int Step) const {
+    auto It = Config.RotationKeyLevels.find(Step);
+    return It == Config.RotationKeyLevels.end() ? INT_MAX : It->second;
+  }
+
+  /// RNS: reports a servable rotation whose key (or one of whose
+  /// power-of-two hop keys) was generated below \p C's level.
+  void checkKeyLevel(const char *Op, const Ct &C, int Step) {
+    if (!Config.Rns || Config.RotationKeyLevels.empty())
+      return;
+    int Level = levelOf(C);
+    int Served = INT_MAX, Short = Step;
+    if (EffectiveKeys.count(Step)) {
+      Served = keyLevel(Step);
+    } else {
+      forEachHop(Step, [&](int Hop) {
+        if (keyLevel(Hop) < Served) {
+          Served = keyLevel(Hop);
+          Short = Hop;
+        }
+      });
+    }
+    if (Served < Level)
+      record(Severity::Error, ErrorCode::MissingRotationKey, Op,
+             formatError("rotation by ", Step, " slots at level ", Level,
+                         " exceeds the level ", Served,
+                         " the Galois key for step ", Short,
+                         " was generated to"));
+  }
+
+  /// Calls \p F with each normalized power-of-two hop of \p Step over
+  /// the shorter direction, exactly as the backends decompose
+  /// (missingRotationSteps in Validate.cpp).
+  template <typename Fn> void forEachHop(int Step, Fn F) const {
     int64_t Remaining = Step <= static_cast<int64_t>(Slots / 2)
                             ? Step
                             : Step - static_cast<int64_t>(Slots);
@@ -460,13 +516,20 @@ private:
       if (!(Mag & 1))
         continue;
       int64_t Hop = static_cast<int64_t>(Direction) * (int64_t(1) << Bit);
-      int64_t Norm = ((Hop % static_cast<int64_t>(Slots)) +
-                      static_cast<int64_t>(Slots)) %
-                     static_cast<int64_t>(Slots);
-      if (!EffectiveKeys.count(static_cast<int>(Norm)))
-        return false;
+      F(static_cast<int>((Hop % static_cast<int64_t>(Slots) +
+                          static_cast<int64_t>(Slots)) %
+                         static_cast<int64_t>(Slots)));
     }
-    return true;
+  }
+
+  bool rotationServable(int Step) const {
+    if (EffectiveKeys.count(Step))
+      return true;
+    // Power-of-two fallback over the shorter direction.
+    bool Servable = true;
+    forEachHop(Step,
+               [&](int Hop) { Servable &= EffectiveKeys.count(Hop) != 0; });
+    return Servable;
   }
 
   void record(Severity Sev, ErrorCode Code, const char *Op,

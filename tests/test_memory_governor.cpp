@@ -349,6 +349,26 @@ TEST(FootprintAnalysis, PredictionUpperBoundsMeasuredPoolHighWaterBig) {
   expectFootprintBounds(Circ, C, Bk, "big");
 }
 
+TEST(FootprintAnalysis, KeyBytesMatchTheGeneratedKeys) {
+  // The static key-material figure is computed from the compiled layout
+  // and key levels alone; it must equal what the backend really holds,
+  // with the selected level-aware key set and with the stock
+  // power-of-two keys.
+  TensorCircuit Circ = smallCircuit();
+  CompiledCircuit C = compileSmall(Circ, SchemeKind::RnsCkks);
+  ASSERT_GT(C.Footprint.KeyBytes, 0u);
+  EXPECT_EQ(C.Footprint.KeyBytes, makeRnsBackend(C, 991).keyBytes());
+  EXPECT_NE(analyzeFootprint(Circ, C).str().find("key material"),
+            std::string::npos);
+
+  CompilerOptions O;
+  O.Scales = plainScales();
+  O.SelectRotationKeys = false;
+  CompiledCircuit Stock = compileCircuit(Circ, O);
+  EXPECT_EQ(Stock.Footprint.KeyBytes, makeRnsBackend(Stock, 991).keyBytes());
+  EXPECT_GT(Stock.Footprint.KeyBytes, C.Footprint.KeyBytes);
+}
+
 TEST(FootprintAnalysis, ReportIsDeterministicAndNamesHotspots) {
   TensorCircuit Circ = smallCircuit();
   CompiledCircuit C = compileSmall(Circ, SchemeKind::RnsCkks);

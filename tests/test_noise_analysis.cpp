@@ -46,7 +46,7 @@ RangeNoiseBackendConfig rawConfig() {
   C.Noise = NoiseModel::create(SchemeKind::RnsCkks, 13,
                                {uint64_t(1) << 60, uint64_t(1) << 25,
                                 uint64_t(1) << 25},
-                               uint64_t(1) << 60, 0);
+                               {uint64_t(1) << 60}, {}, 0);
   C.InputAbs = 0.5;
   return C;
 }

@@ -25,6 +25,15 @@ RnsCkksParams testRnsParams() {
   return P;
 }
 
+/// Hybrid key-switching layout: two digits over the 4-prime chain under
+/// a two-prime special modulus.
+RnsCkksParams hybridRnsParams() {
+  RnsCkksParams P = testRnsParams();
+  P.SpecialPrimes = RnsCkksParams::candidateSpecials(2, 60, P.ChainPrimes);
+  P.DigitBounds = {0, 2, 4};
+  return P;
+}
+
 std::vector<double> someValues(size_t N, uint64_t Seed) {
   Prng Rng(Seed);
   std::vector<double> V(N);
@@ -34,18 +43,65 @@ std::vector<double> someValues(size_t N, uint64_t Seed) {
 }
 
 TEST(Serialization, RnsParamsRoundTrip) {
-  RnsCkksParams P = testRnsParams();
-  P.Seed = 1234;
-  P.StockPow2Keys = false;
-  ByteBuffer B = serialize(P);
-  RnsCkksParams Q;
-  ASSERT_TRUE(deserialize(B, Q));
-  EXPECT_EQ(Q.LogN, P.LogN);
-  EXPECT_EQ(Q.ChainPrimes, P.ChainPrimes);
-  EXPECT_EQ(Q.SpecialPrime, P.SpecialPrime);
-  EXPECT_EQ(Q.Security, P.Security);
-  EXPECT_EQ(Q.Seed, P.Seed);
-  EXPECT_EQ(Q.StockPow2Keys, P.StockPow2Keys);
+  for (RnsCkksParams P : {testRnsParams(), hybridRnsParams()}) {
+    P.Seed = 1234;
+    P.StockPow2Keys = false;
+    ByteBuffer B = serialize(P);
+    RnsCkksParams Q;
+    ASSERT_TRUE(deserialize(B, Q));
+    EXPECT_EQ(Q.LogN, P.LogN);
+    EXPECT_EQ(Q.ChainPrimes, P.ChainPrimes);
+    EXPECT_EQ(Q.SpecialPrimes, P.SpecialPrimes);
+    EXPECT_EQ(Q.DigitBounds, P.DigitBounds);
+    EXPECT_EQ(Q.Security, P.Security);
+    EXPECT_EQ(Q.Seed, P.Seed);
+    EXPECT_EQ(Q.StockPow2Keys, P.StockPow2Keys);
+  }
+}
+
+TEST(Serialization, RejectsMalformedKeySwitchLayouts) {
+  auto Rejected = [](const RnsCkksParams &P) {
+    RnsCkksParams Q;
+    return !deserialize(serialize(P), Q);
+  };
+  ASSERT_FALSE(Rejected(hybridRnsParams()));
+  RnsCkksParams P = hybridRnsParams();
+  P.DigitBounds = {0, 2, 3}; // stops short of the chain's last prime
+  EXPECT_TRUE(Rejected(P));
+  P.DigitBounds = {1, 2, 4}; // skips q_0
+  EXPECT_TRUE(Rejected(P));
+  P.DigitBounds = {0, 3, 2, 4}; // out of order
+  EXPECT_TRUE(Rejected(P));
+  P.DigitBounds = {0, 2, 2, 4}; // empty digit
+  EXPECT_TRUE(Rejected(P));
+  P.DigitBounds = {4}; // no digit at all
+  EXPECT_TRUE(Rejected(P));
+  P = hybridRnsParams();
+  P.SpecialPrimes[1] = P.ChainPrimes[2]; // special prime inside the chain
+  EXPECT_TRUE(Rejected(P));
+  P = hybridRnsParams();
+  P.SpecialPrimes.clear(); // no special modulus
+  EXPECT_TRUE(Rejected(P));
+  // The backend refuses the same layouts with a typed error.
+  P = hybridRnsParams();
+  P.DigitBounds = {0, 2, 2, 4};
+  try {
+    RnsCkksBackend Backend(P);
+    ADD_FAILURE() << "a malformed layout constructed a backend";
+  } catch (const ChetError &E) {
+    EXPECT_EQ(E.code(), ErrorCode::InvalidArgument) << E.what();
+  }
+}
+
+TEST(Serialization, EveryParamsTruncationFailsCleanly) {
+  for (const RnsCkksParams &P : {testRnsParams(), hybridRnsParams()}) {
+    ByteBuffer Wire = serialize(P);
+    for (size_t Cut = 0; Cut < Wire.size(); ++Cut) {
+      ByteBuffer Truncated(Wire.begin(), Wire.begin() + Cut);
+      RnsCkksParams Out;
+      ASSERT_FALSE(deserialize(Truncated, Out)) << "cut at " << Cut;
+    }
+  }
 }
 
 TEST(Serialization, RnsCiphertextRoundTripsThroughTheWire) {
@@ -297,22 +353,27 @@ TEST(Serialization, CorruptionAnywhereIsTypedNeverFatal) {
 
 TEST(Serialization, ParamsStreamsSurviveExhaustiveBitFlips) {
   // Params buffers are small: flip every single bit and check the bool
-  // and throwing forms agree (reject together or accept together).
-  RnsCkksParams PR = testRnsParams();
-  PR.Seed = 5;
-  ByteBuffer RnsWire = serialize(PR);
-  for (size_t Bit = 0; Bit < RnsWire.size() * 8; ++Bit) {
-    ByteBuffer Mutated = RnsWire;
-    Mutated[Bit / 8] ^= uint8_t(1) << (Bit % 8);
-    RnsCkksParams A, B;
-    bool Ok = deserialize(Mutated, A);
-    try {
-      deserializeOrThrow(Mutated, B);
-      EXPECT_TRUE(Ok) << "throwing form accepted what bool form rejected "
-                      << "(bit " << Bit << ")";
-    } catch (const ChetError &) {
-      EXPECT_FALSE(Ok) << "throwing form rejected what bool form accepted "
-                       << "(bit " << Bit << ")";
+  // and throwing forms agree (reject together or accept together), and
+  // that anything accepted still carries a well-formed key-switching
+  // layout -- on the per-prime and the hybrid layout alike.
+  for (RnsCkksParams PR : {testRnsParams(), hybridRnsParams()}) {
+    PR.Seed = 5;
+    ByteBuffer RnsWire = serialize(PR);
+    for (size_t Bit = 0; Bit < RnsWire.size() * 8; ++Bit) {
+      ByteBuffer Mutated = RnsWire;
+      Mutated[Bit / 8] ^= uint8_t(1) << (Bit % 8);
+      RnsCkksParams A, B;
+      bool Ok = deserialize(Mutated, A);
+      if (Ok)
+        EXPECT_EQ(A.keySwitchLayoutError(), "") << "bit " << Bit;
+      try {
+        deserializeOrThrow(Mutated, B);
+        EXPECT_TRUE(Ok) << "throwing form accepted what bool form rejected "
+                        << "(bit " << Bit << ")";
+      } catch (const ChetError &) {
+        EXPECT_FALSE(Ok) << "throwing form rejected what bool form accepted "
+                         << "(bit " << Bit << ")";
+      }
     }
   }
 

@@ -155,6 +155,43 @@ TEST(Verifier, ReportsMissingRotationKey) {
       << D->Message;
 }
 
+/// Level-aware keys: lower one Galois key and the relinearization key
+/// below the highest level the circuit uses them at. Each use above its
+/// key's generated level is an error with the same op -> node -> layer
+/// provenance as a missing key.
+TEST(Verifier, ReportsKeysUsedAboveTheirGeneratedLevel) {
+  TensorCircuit Circ = makeLeNet5Small(/*Reduction=*/4);
+  CompiledCircuit Compiled = compileCircuit(Circ, baseOptions());
+  ASSERT_FALSE(Compiled.RotationKeyLevels.empty());
+  ASSERT_TRUE(verifyCircuit(Circ, Compiled).ok());
+
+  auto Top = std::max_element(
+      Compiled.RotationKeyLevels.begin(), Compiled.RotationKeyLevels.end(),
+      [](const auto &A, const auto &B) { return A.second < B.second; });
+  ASSERT_GT(Top->second, 0);
+  --Top->second;
+  VerificationReport R = verifyCircuit(Circ, Compiled);
+  EXPECT_FALSE(R.ok());
+  const VerifierDiagnostic *D =
+      findDiag(R.Diagnostics, ErrorCode::MissingRotationKey, Severity::Error);
+  ASSERT_NE(D, nullptr) << R.str();
+  EXPECT_GE(D->NodeId, 0);
+  EXPECT_FALSE(D->Layer.empty());
+  EXPECT_TRUE(D->HisaOp == "rotLeftAssign" || D->HisaOp == "rotLeftMany")
+      << D->HisaOp;
+  EXPECT_NE(D->Message.find("generated to"), std::string::npos)
+      << D->Message;
+  ++Top->second;
+
+  ASSERT_GT(Compiled.RelinKeyLevel, 0);
+  --Compiled.RelinKeyLevel;
+  R = verifyCircuit(Circ, Compiled);
+  D = findDiag(R.Diagnostics, ErrorCode::MissingRotationKey, Severity::Error);
+  ASSERT_NE(D, nullptr) << R.str();
+  EXPECT_EQ(D->HisaOp, "mulAssign");
+  EXPECT_FALSE(D->Layer.empty());
+}
+
 /// Hoisted fan-out with a missing key: issue a rotLeftMany directly at
 /// the verifier's abstract machine with one unservable amount. The
 /// diagnostic must carry the rotLeftMany op name, the current node, and
